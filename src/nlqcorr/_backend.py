@@ -1,9 +1,9 @@
 """Kernel backend selection.
 
-Hot numeric loops (see ``_kernels``) are compiled with numba when it is
+The state-vector RK4 loops in ``_kernels`` are compiled with numba when it is
 importable. Setting the environment variable ``NLQCORR_DISABLE_NUMBA`` to
 ``1``/``true``/``yes`` before import forces the identical pure-numpy code
-paths to run uncompiled; ``benchmarks/compare_backends.py`` times the two.
+paths to run uncompiled. Spectral work always goes through LAPACK.
 """
 
 import os

@@ -1,8 +1,8 @@
-"""Hot numeric kernels: cyclic Jacobi diagonalization and fixed-step RK4 loops.
+"""Hot numeric kernels: fixed-step RK4 loops for the structured state flow.
 
 Every function here is plain numpy code compiled with numba when the backend
 allows it (see ``_backend``); with ``NLQCORR_DISABLE_NUMBA=1`` the same code
-runs uncompiled. Matrices are small (dimension <= 32), so kernels favour
+runs uncompiled. States are small (dimension <= 32), so kernels favour
 explicit loops over BLAS-heavy vectorization. Callers are responsible for
 validation; inputs must be contiguous complex128 arrays.
 """
@@ -10,85 +10,6 @@ validation; inputs must be contiguous complex128 arrays.
 import numpy as np
 
 from ._backend import jit
-
-
-@jit
-def jacobi_eigh(mat, rel_tol, max_sweeps):
-    """Eigendecomposition of a Hermitian matrix by cyclic Jacobi rotations.
-
-    Returns ``(w, v)`` with eigenvalues ``w`` ascending and eigenvector
-    columns ``v``. Sweeps stop once the off-diagonal Frobenius mass drops
-    below ``rel_tol`` times the Frobenius norm of the input.
-    """
-    n = mat.shape[0]
-    a = mat.astype(np.complex128).copy()
-    v = np.zeros((n, n), dtype=np.complex128)
-    for i in range(n):
-        v[i, i] = 1.0
-
-    fro = 0.0
-    for i in range(n):
-        for j in range(n):
-            fro += abs(a[i, j]) ** 2
-    fro = np.sqrt(fro)
-    w = np.empty(n)
-    if fro == 0.0:
-        for i in range(n):
-            w[i] = 0.0
-        return w, v
-    thresh = rel_tol * fro
-
-    for _ in range(max_sweeps):
-        off = 0.0
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                off += 2.0 * abs(a[p, q]) ** 2
-        if np.sqrt(off) < thresh:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                beta = abs(apq)
-                if beta == 0.0:
-                    continue
-                phase = apq / beta
-                diff = a[p, p].real - a[q, q].real
-                if diff == 0.0:
-                    t = 1.0
-                else:
-                    tau = diff / (2.0 * beta)
-                    t = np.sign(tau) / (abs(tau) + np.sqrt(1.0 + tau * tau))
-                cth = 1.0 / np.sqrt(1.0 + t * t)
-                sth = t * cth
-                # unitary R: R[p,p]=c, R[p,q]=-s*phase, R[q,p]=s*conj(phase), R[q,q]=c
-                for k in range(n):
-                    akp = a[k, p]
-                    akq = a[k, q]
-                    a[k, p] = cth * akp + sth * np.conj(phase) * akq
-                    a[k, q] = -sth * phase * akp + cth * akq
-                for k in range(n):
-                    apk = a[p, k]
-                    aqk = a[q, k]
-                    a[p, k] = cth * apk + sth * phase * aqk
-                    a[q, k] = -sth * np.conj(phase) * apk + cth * aqk
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-                for k in range(n):
-                    vkp = v[k, p]
-                    vkq = v[k, q]
-                    v[k, p] = cth * vkp + sth * np.conj(phase) * vkq
-                    v[k, q] = -sth * phase * vkp + cth * vkq
-
-    for i in range(n):
-        w[i] = a[i, i].real
-    order = np.argsort(w)
-    w_sorted = np.empty(n)
-    v_sorted = np.empty((n, n), dtype=np.complex128)
-    for idx in range(n):
-        w_sorted[idx] = w[order[idx]]
-        for r in range(n):
-            v_sorted[r, idx] = v[r, order[idx]]
-    return w_sorted, v_sorted
 
 
 @jit
@@ -125,64 +46,3 @@ def rk4_state_run(psi, ops, coefs, powers, dt, nsteps, out, offset):
         p = rk4_state_step(p, ops, coefs, powers, dt)
         out[offset + k] = p
     return p
-
-
-@jit
-def herm_matrix_power(rho, q, floor):
-    """Spectral power rho**q of a Hermitian PSD matrix.
-
-    Eigenvalues below ``floor`` are treated as exact zeros. Returns the
-    powered matrix together with the smallest raw eigenvalue so the caller
-    can detect genuinely negative spectra.
-    """
-    w, v = jacobi_eigh(rho, 1e-14, 60)
-    n = w.shape[0]
-    pw = np.empty(n)
-    for i in range(n):
-        x = w[i]
-        if x < floor:
-            x = 0.0
-        pw[i] = x ** q
-    out = np.empty((n, n), dtype=np.complex128)
-    for i in range(n):
-        for j in range(n):
-            acc = 0.0 + 0.0j
-            for k in range(n):
-                acc += v[i, k] * pw[k] * np.conj(v[j, k])
-            out[i, j] = acc
-    return out, w[0]
-
-
-@jit
-def qvn_deriv(rho, hmat, q, qint, floor):
-    """-i [H, rho**q] and the smallest eigenvalue seen (0.0 for integer powers)."""
-    if qint > 0:
-        rq = rho.copy()
-        for _ in range(qint - 1):
-            rq = rq @ rho
-        minw = 0.0
-    else:
-        rq, minw = herm_matrix_power(rho, q, floor)
-    comm = hmat @ rq - rq @ hmat
-    return -1j * comm, minw
-
-
-@jit
-def rk4_qvn_run(rho, hmat, q, qint, floor, neg_tol, dt, nsteps, out, offset):
-    """RK4 for i drho/dt = [H, rho**q].
-
-    Returns ``(rho_final, failed_step)`` where ``failed_step`` is -1 on
-    success, or the index of the first step whose stage matrices developed
-    an eigenvalue below ``neg_tol`` (fractional powers only).
-    """
-    r = rho.copy()
-    for k in range(nsteps):
-        d1, m1 = qvn_deriv(r, hmat, q, qint, floor)
-        d2, m2 = qvn_deriv(r + (0.5 * dt) * d1, hmat, q, qint, floor)
-        d3, m3 = qvn_deriv(r + (0.5 * dt) * d2, hmat, q, qint, floor)
-        d4, m4 = qvn_deriv(r + dt * d3, hmat, q, qint, floor)
-        if qint == 0 and (m1 < neg_tol or m2 < neg_tol or m3 < neg_tol or m4 < neg_tol):
-            return r, k
-        r = r + (dt / 6.0) * (d1 + 2.0 * d2 + 2.0 * d3 + d4)
-        out[offset + k] = r
-    return r, -1

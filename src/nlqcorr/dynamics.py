@@ -14,6 +14,7 @@ the isospectral q-deformed von Neumann flow ``i drho/dt = [H, rho^q]``.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field
 
@@ -29,6 +30,7 @@ from .hamfun import (
 )
 
 NORM_DRIFT_ABORT = 1e-6
+CHECK_BATCH = 64  # RK4 steps run between two norm checks in ``integrate``
 QVN_EIG_FLOOR = 1e-12
 QVN_NEG_TOL = -1e-10
 
@@ -90,7 +92,8 @@ def integrate(h, psi0, t_end: float, dt: float,
 
     ``t_end`` must be an integer number of ``dt`` steps (uniform sampling).
     Observables are sampled at every step. Aborts with a diagnostic if the
-    norm drifts from 1 by more than ``NORM_DRIFT_ABORT``.
+    norm drifts from 1 by more than ``NORM_DRIFT_ABORT`` or turns non-finite,
+    at the first batch of ``CHECK_BATCH`` steps that contains the bad sample.
     """
     psi0 = qstate.check_state(psi0)
     h = _as_switched(h, psi0.size)
@@ -121,70 +124,80 @@ def integrate(h, psi0, t_end: float, dt: float,
     struct = h.structured()
     psi = psi0.astype(complex)
     next_rec = 1
+    checked = 1
     t_cur = 0.0
 
-    for ta, tb in zip(breaks[:-1], breaks[1:]):
-        if tb - ta <= eps:
-            continue
-        t_mid = 0.5 * (ta + tb)
-        if struct is not None:
-            ops, coefs, powers, tsw = struct
-            mask = t_mid < tsw
-            aops = np.ascontiguousarray(ops[mask])
-            acoefs = np.ascontiguousarray(coefs[mask])
-            apows = np.ascontiguousarray(powers[mask])
+    def check_recorded():
+        # samples [checked, next_rec) are new; abort at the first bad one
+        nonlocal checked
+        norms = np.linalg.norm(states[checked:next_rec], axis=1)
+        drift = np.abs(norms - 1.0)
+        bad = ~(drift <= NORM_DRIFT_ABORT)
+        if np.any(bad):
+            first = int(np.argmax(bad))
+            raise NumericalError(
+                f"norm drift {drift[first]:.3e} at t = {times[checked + first]:#.6g} "
+                f"exceeds {NORM_DRIFT_ABORT:.1e} (dt = {dt:g}); generator may be "
+                "unacceptable or the step too large"
+            )
+        checked = next_rec
 
-            def step_once(p, h_step):
-                return _kernels.rk4_state_step(p, aops, acoefs, apows, h_step)
+    # overflow inside a batch surfaces as a non-finite sample, caught by check_recorded
+    with np.errstate(over="ignore", invalid="ignore"):
+        for ta, tb in zip(breaks[:-1], breaks[1:]):
+            if tb - ta <= eps:
+                continue
+            t_mid = 0.5 * (ta + tb)
+            if struct is not None:
+                ops, coefs, powers, tsw = struct
+                mask = t_mid < tsw
+                aops = np.ascontiguousarray(ops[mask])
+                acoefs = np.ascontiguousarray(coefs[mask])
+                apows = np.ascontiguousarray(powers[mask])
 
-            def run_batch(p, m, idx0):
-                return _kernels.rk4_state_run(p, aops, acoefs, apows, dt, m, states, idx0)
-        else:
+                def step_once(p, h_step):
+                    return _kernels.rk4_state_step(p, aops, acoefs, apows, h_step)
 
-            def step_once(p, h_step, _t=t_mid):
-                return _py_rk4_step(h, p, _t, h_step)
+                def run_batch(p, m, idx0):
+                    return _kernels.rk4_state_run(p, aops, acoefs, apows, dt, m, states, idx0)
+            else:
 
-            def run_batch(p, m, idx0, _t=t_mid):
-                for j in range(m):
-                    p = _py_rk4_step(h, p, _t, dt)
-                    states[idx0 + j] = p
-                return p
+                def step_once(p, h_step, _t=t_mid):
+                    return _py_rk4_step(h, p, _t, h_step)
 
-        # finish a step left dangling by an event inside it
-        if next_rec <= n and t_cur > times[next_rec - 1] + eps:
-            target = min(times[next_rec], tb)
-            if target > t_cur + eps:
-                psi = step_once(psi, target - t_cur)
-                t_cur = target
-            if abs(t_cur - times[next_rec]) <= eps:
-                states[next_rec] = psi
-                next_rec += 1
+                def run_batch(p, m, idx0, _t=t_mid):
+                    for j in range(m):
+                        p = _py_rk4_step(h, p, _t, dt)
+                        states[idx0 + j] = p
+                    return p
+
+            # finish a step left dangling by an event inside it
+            if next_rec <= n and t_cur > times[next_rec - 1] + eps:
+                target = min(times[next_rec], tb)
+                if target > t_cur + eps:
+                    psi = step_once(psi, target - t_cur)
+                    t_cur = target
+                if abs(t_cur - times[next_rec]) <= eps:
+                    states[next_rec] = psi
+                    next_rec += 1
+                    t_cur = times[next_rec - 1]
+                    check_recorded()
+            # whole steps inside the segment, checked batch by batch
+            m = int(math.floor((tb - t_cur) / dt + 1e-9))
+            for lo in range(0, m, CHECK_BATCH):
+                mb = min(CHECK_BATCH, m - lo)
+                psi = run_batch(psi, mb, next_rec)
+                next_rec += mb
+                check_recorded()
+            if m > 0:
                 t_cur = times[next_rec - 1]
-        # whole steps inside the segment
-        m = int(math.floor((tb - t_cur) / dt + 1e-9))
-        if m > 0:
-            psi = run_batch(psi, m, next_rec)
-            next_rec += m
-            t_cur = times[next_rec - 1]
-        # partial step up to the event boundary
-        if tb - t_cur > eps:
-            psi = step_once(psi, tb - t_cur)
-            t_cur = tb
+            # partial step up to the event boundary
+            if tb - t_cur > eps:
+                psi = step_once(psi, tb - t_cur)
+                t_cur = tb
 
     if next_rec != n + 1:
         raise RuntimeError("internal stepping error: grid not fully recorded")
-
-    with np.errstate(over="ignore", invalid="ignore"):
-        norms = np.linalg.norm(states, axis=1)
-        drift = np.abs(norms - 1.0)
-    bad = ~np.isfinite(norms) | (drift > NORM_DRIFT_ABORT)
-    if np.any(bad):
-        first = int(np.argmax(bad))
-        raise NumericalError(
-            f"norm drift {drift[first]:.3e} at t = {times[first]:#.6g} "
-            f"exceeds {NORM_DRIFT_ABORT:.1e} (dt = {dt:g}); generator may be unacceptable "
-            "or the step too large"
-        )
 
     values = {
         name: np.einsum("ti,ij,tj->t", states.conj(), op, states).real
@@ -220,14 +233,15 @@ def exact_pair_propagator(psi0, coef_a: float, coef_b: float,
     if schedule.subsystem_dims != (2, 2):
         raise ValueError("schedule must describe two qubits")
     t1, t2 = schedule.detection_times
-    rho = np.outer(psi0, psi0.conj())
-    z1 = np.trace(qstate.partial_trace(rho, (2, 2), keep=1) @ qstate.sigma_z).real
-    z2 = np.trace(qstate.partial_trace(rho, (2, 2), keep=2) @ qstate.sigma_z).real
+    # <sigma_z> of each factor, read off the populations of |00>, |01>, |10>, |11>
+    p0, p1, p2, p3 = (psi0 * psi0.conj()).real
+    z1 = (p0 + p1) - (p2 + p3)
+    z2 = (p0 + p2) - (p1 + p3)
     alpha = coef_a * z1 * kappa(t, t1)
     beta = coef_b * z2 * kappa(t, t2)
-    ph1 = np.array([np.exp(-1j * alpha), np.exp(1j * alpha)])
-    ph2 = np.array([np.exp(-1j * beta), np.exp(1j * beta)])
-    return np.kron(ph1, ph2) * psi0
+    e1, e2 = cmath.exp(-1j * alpha), cmath.exp(-1j * beta)
+    c1, c2 = e1.conjugate(), e2.conjugate()
+    return np.array([e1 * e2, e1 * c2, c1 * e2, c1 * c2]) * psi0
 
 
 def one_particle_propagator(h: HamiltonianFunction, rho0, duration: float,
@@ -306,6 +320,42 @@ def switched_pair_state(psi0, h1: HamiltonianFunction, h2: HamiltonianFunction,
 # q-deformed von Neumann flow
 
 
+def _qvn_rhs(x, hmat, q: float, qint: int) -> tuple[np.ndarray, float]:
+    """-i [H, x**q] and the smallest eigenvalue of ``x`` (0.0 for integer powers)."""
+    if qint > 0:
+        xq = x
+        for _ in range(qint - 1):
+            xq = xq @ x
+        minw = 0.0
+    else:
+        xq, minw = qstate.herm_power(x, q, QVN_EIG_FLOOR)
+    return -1j * (hmat @ xq - xq @ hmat), minw
+
+
+def _qvn_step(r, hmat, q: float, qint: int, dt: float) -> tuple[np.ndarray | None, float]:
+    """One RK4 step of i dr/dt = [H, r**q].
+
+    Returns ``(None, minw)`` as soon as a stage leaves the flow's domain: an
+    eigenvalue below ``QVN_NEG_TOL``, or NaN for a non-finite stage or result.
+    """
+    d1, minw = _qvn_rhs(r, hmat, q, qint)
+    if not minw >= QVN_NEG_TOL:
+        return None, minw
+    d2, minw = _qvn_rhs(r + (0.5 * dt) * d1, hmat, q, qint)
+    if not minw >= QVN_NEG_TOL:
+        return None, minw
+    d3, minw = _qvn_rhs(r + (0.5 * dt) * d2, hmat, q, qint)
+    if not minw >= QVN_NEG_TOL:
+        return None, minw
+    d4, minw = _qvn_rhs(r + dt * d3, hmat, q, qint)
+    if not minw >= QVN_NEG_TOL:
+        return None, minw
+    out = r + (dt / 6.0) * (d1 + 2.0 * d2 + 2.0 * d3 + d4)
+    if not np.isfinite(out).all():
+        return None, math.nan
+    return out, minw
+
+
 def integrate_qvn(hmat, rho0, q: float, t_end: float, dt: float,
                   coupling: float = 1.0,
                   observables: dict[str, np.ndarray] | None = None) -> Trajectory:
@@ -345,15 +395,23 @@ def integrate_qvn(hmat, rho0, q: float, t_end: float, dt: float,
     times = np.arange(n + 1) * dt
     rhos = np.empty((n + 1, d, d), dtype=complex)
     rhos[0] = rho0
-    final, failed = _kernels.rk4_qvn_run(
-        np.ascontiguousarray(rho0), np.ascontiguousarray(coupling * hmat),
-        float(q), qint, QVN_EIG_FLOOR, QVN_NEG_TOL, dt, n, rhos, 1,
-    )
-    if failed >= 0:
-        raise NumericalError(
-            f"negative eigenvalue below {QVN_NEG_TOL:.1e} at t = {times[failed]:#.6g} "
-            f"with non-integer q = {q:g}; reduce dt"
-        )
+    r = rho0
+    # overflow inside a step surfaces as a non-finite stage, caught by _qvn_step
+    with np.errstate(over="ignore", invalid="ignore"):
+        hc = coupling * hmat
+        for k in range(n):
+            r, minw = _qvn_step(r, hc, q, qint, dt)
+            if r is None:
+                if math.isnan(minw):
+                    raise NumericalError(
+                        f"density matrix became non-finite at t = {times[k]:#.6g} "
+                        f"with q = {q:g}, coupling = {coupling:g}; reduce dt"
+                    )
+                raise NumericalError(
+                    f"negative eigenvalue below {QVN_NEG_TOL:.1e} at t = {times[k]:#.6g} "
+                    f"with non-integer q = {q:g}; reduce dt"
+                )
+            rhos[k + 1] = r
     values = {
         name: np.einsum("tij,ji->t", rhos, op).real for name, op in obs.items()
     }

@@ -2,24 +2,20 @@
 
 States are 1-d complex numpy arrays, operators and density matrices square
 2-d complex arrays. Systems stay small (a few qubits, dimension <= 32), so
-storage is dense row-major and Hermitian eigenproblems go through the cyclic
-Jacobi kernel in ``_kernels``. Hermiticity violations are errors, never
-silently symmetrized away. All functions are pure and never mutate inputs.
+storage is dense row-major and Hermitian eigenproblems go through LAPACK
+(``np.linalg.eigh``). Hermiticity violations are errors, never silently
+symmetrized away. All functions are pure and never mutate inputs.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from . import _kernels
-
 HERMITIAN_TOL = 1e-12
 STATE_NORM_TOL = 1e-9
 UNIT_DIRECTION_TOL = 1e-10
 EXPECTATION_IMAG_TOL = 1e-10
 DENSITY_EIG_FLOOR = -1e-10
-JACOBI_REL_TOL = 1e-14
-JACOBI_MAX_SWEEPS = 60
 
 
 def _const(entries) -> np.ndarray:
@@ -150,12 +146,8 @@ def lift_operator(op, dims, index: int) -> np.ndarray:
 
 
 def eigh(mat) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues (ascending) and eigenvector columns of a Hermitian matrix.
-
-    Runs the cyclic Jacobi kernel; adequate for the dimensions handled here.
-    """
-    a = check_hermitian(mat)
-    w, v = _kernels.jacobi_eigh(np.ascontiguousarray(a), JACOBI_REL_TOL, JACOBI_MAX_SWEEPS)
+    """Eigenvalues (ascending) and eigenvector columns of a Hermitian matrix (LAPACK)."""
+    w, v = np.linalg.eigh(check_hermitian(mat))
     return w, v
 
 
@@ -166,6 +158,20 @@ def herm_exp(h, scale: complex) -> np.ndarray:
     """
     w, v = eigh(h)
     return (v * np.exp(scale * w)) @ v.conj().T
+
+
+def herm_power(rho, q: float, floor: float) -> tuple[np.ndarray, float]:
+    """Spectral power rho**q of a Hermitian positive semidefinite matrix.
+
+    Eigenvalues below ``floor`` are treated as exact zeros. Returns the
+    powered matrix together with the smallest raw eigenvalue, so the caller
+    can detect a genuinely negative (or, for non-finite input, NaN) spectrum.
+    ``rho`` is not re-validated: this is the inner step of the q-deformed
+    flow, whose stage matrices are Hermitian by construction.
+    """
+    w, v = np.linalg.eigh(rho)
+    pw = np.where(w < floor, 0.0, w) ** q
+    return (v * pw) @ v.conj().T, float(w[0])
 
 
 def expectation(state, obs) -> float:

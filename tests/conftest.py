@@ -7,8 +7,6 @@ from nlqcorr import _kernels
 @pytest.fixture(scope="session", autouse=True)
 def _warm_kernels():
     # pay the numba JIT cost once, before any timed assertions run
-    herm = np.array([[1.0, 0.1j], [-0.1j, 2.0]], dtype=complex)
-    _kernels.jacobi_eigh(np.ascontiguousarray(herm), 1e-14, 60)
     ops = np.zeros((1, 2, 2), dtype=complex)
     ops[0] = [[1, 0], [0, -1]]
     coefs = np.array([1.0])
@@ -17,10 +15,6 @@ def _warm_kernels():
     out = np.empty((2, 2), dtype=complex)
     _kernels.rk4_state_run(psi, ops, coefs, powers, 1e-3, 2, out, 0)
     _kernels.rk4_state_step(psi, ops, coefs, powers, 1e-3)
-    rho = np.diag([0.7, 0.3]).astype(complex)
-    rout = np.empty((3, 2, 2), dtype=complex)
-    _kernels.rk4_qvn_run(rho, herm, 1.0, 1, 1e-12, -1e-10, 1e-3, 2, rout, 1)
-    _kernels.rk4_qvn_run(rho, herm, 0.5, 0, 1e-12, -1e-10, 1e-3, 2, rout, 1)
 
 
 @pytest.fixture
