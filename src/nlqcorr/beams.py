@@ -3,7 +3,7 @@
 A beam of N pairs is a tensor product of single-pair states, but it is never
 materialized as one 4^N vector: identity factors trace out of frequency
 operators, so the averaged pair observable reduces to the arithmetic mean of
-per-pair expectations, and the sub-beam of particles #1 is just the list of
+per-pair expectations, and the sub-beam of particles #1 is just the stack of
 per-pair reduced matrices. The explicit 4^N construction survives only as a
 small-N test oracle.
 """
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import qstate
-from .dynamics import switched_pair_state
+from .dynamics import switched_pair_states
 from .hamfun import HamiltonianFunction
 
 
@@ -68,16 +68,31 @@ def frequency_average(pair_obs, pair_states) -> float:
 
     The frequency form (1/N) sum_i O_i with identity on every other pair has,
     on a product state, exactly the arithmetic mean of per-pair expectations.
+    ``pair_states`` is a sequence or an (N, d) / (N, d, d) array of state
+    vectors or density matrices; the checks are those of
+    :func:`qstate.expectation`, applied to every pair.
     """
     obs = qstate.check_hermitian(pair_obs, name="pair observable")
-    states = list(pair_states)
-    if not states:
+    if not isinstance(pair_states, np.ndarray):
+        pair_states = list(pair_states)
+    states = np.asarray(pair_states, dtype=complex)
+    if states.size == 0:
         raise ValueError("need at least one pair state")
-    return float(np.mean([qstate.expectation(np.asarray(s, dtype=complex), obs) for s in states]))
+    if states.ndim == 2 and states.shape[1] == obs.shape[0]:
+        vals = np.einsum("ni,ij,nj->n", states.conj(), obs, states)
+    elif states.ndim == 3 and states.shape[1:] == obs.shape:
+        vals = np.einsum("nij,ji->n", states, obs)
+    else:
+        raise ValueError(f"pair states of shape {states.shape[1:]} do not match "
+                         f"observable {obs.shape}")
+    residue = np.max(np.abs(vals.imag))
+    if residue > qstate.EXPECTATION_IMAG_TOL:
+        raise ValueError(f"expectation has imaginary residue {residue:.3e} above tolerance")
+    return float(np.mean(vals.real))
 
 
-def sub_beam_state(beam: BeamSpec, t: float) -> list[np.ndarray]:
-    """Reduced states of the particles #1 at time t, one matrix per pair.
+def sub_beam_state(beam: BeamSpec, t: float) -> np.ndarray:
+    """Reduced states of the particles #1 at time t, an (N, 2, 2) array.
 
     Pair i evolves from its own birth time; each factor accumulates only its
     switched-on duration, so the result is independent of every t2 (and a
@@ -85,10 +100,8 @@ def sub_beam_state(beam: BeamSpec, t: float) -> list[np.ndarray]:
     the composite pair state so that independence is a property of the
     dynamics, not of the code path.
     """
-    out = []
-    for t0, t1, t2 in beam.times:
-        tau1 = max(0.0, min(t, t1) - t0)
-        tau2 = max(0.0, min(t, t2) - t0)
-        psi_t = switched_pair_state(beam.psi0, beam.h1, beam.h2, tau1, tau2)
-        out.append(qstate.partial_trace(np.outer(psi_t, psi_t.conj()), (2, 2), keep=1))
-    return out
+    t0, t1, t2 = beam.times.T
+    tau1 = np.maximum(0.0, np.minimum(t, t1) - t0)
+    tau2 = np.maximum(0.0, np.minimum(t, t2) - t0)
+    psi_t = switched_pair_states(beam.psi0, beam.h1, beam.h2, tau1, tau2)
+    return qstate.reduced_states(psi_t, (2, 2), keep=1)

@@ -22,6 +22,7 @@ Exit codes: 0 success, 1 configuration error, 2 numerical failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -31,13 +32,8 @@ import numpy as np
 
 from . import entropy, hamfun, protocols, qstate
 from ._version import __version__
-from .dynamics import (
-    NumericalError,
-    integrate_qvn,
-    one_particle_propagator,
-    switched_pair_state,
-)
-from .hamfun import catalogue_entry, kappa
+from .dynamics import NumericalError, integrate_qvn
+from .hamfun import catalogue_entry
 
 LOCALITY_PASS_TOL = 1e-10
 HISTORY_PASS_TOL = 1e-12
@@ -308,19 +304,13 @@ def _figure_hamiltonians(cfg: dict):
     return catalogue_entry(kind, cfg["A"]), catalogue_entry(kind, cfg["B"])
 
 
-_FIG_OBS = None
-
-
 def _figure_observables() -> dict[str, np.ndarray]:
-    global _FIG_OBS
-    if _FIG_OBS is None:
-        sx, eye = qstate.sigma_x, qstate.identity(2)
-        _FIG_OBS = {
-            "exp_xx": np.kron(sx, sx),
-            "exp_x1": np.kron(sx, eye),
-            "exp_1x": np.kron(eye, sx),
-        }
-    return _FIG_OBS
+    sx, eye = qstate.sigma_x, qstate.identity(2)
+    return {
+        "exp_xx": np.kron(sx, sx),
+        "exp_x1": np.kron(sx, eye),
+        "exp_1x": np.kron(eye, sx),
+    }
 
 
 def _figure_meta(cfg: dict, experiment: str, integrator: str) -> dict:
@@ -415,64 +405,27 @@ def run_locality_check(cfg: dict) -> int:
     kind = "linear-z" if cfg["linear_mode"] else "quadratic-z"
     h1 = catalogue_entry(kind, cfg["A"])
     protocol = cfg["protocol"]
-    rho = np.outer(psi0, psi0.conj())
 
-    def rho1_series(b_coef, t2):
+    def series(b_coef, t2, keep, protocol="switching"):
         h2 = catalogue_entry(kind, b_coef)
-        return [
-            qstate.partial_trace(
-                np.outer(s := switched_pair_state(psi0, h1, h2, kappa(t, cfg["t1"]), kappa(t, t2)),
-                         s.conj()), (2, 2), keep=1)
-            for t in grid
-        ]
-
-    def rho2_series_switching(b_coef, t2):
-        h2 = catalogue_entry(kind, b_coef)
-        return [
-            qstate.partial_trace(
-                np.outer(s := switched_pair_state(psi0, h1, h2, kappa(t, cfg["t1"]), kappa(t, t2)),
-                         s.conj()), (2, 2), keep=2)
-            for t in grid
-        ]
-
-    def rho2_series_zeno(b_coef, t2):
-        h2 = catalogue_entry(kind, b_coef)
-        _, branches = protocols.zeno_branches(psi0, h1, h2, cfg["t1"], cfg["direction_a"])
-        series = []
-        for t in grid:
-            if t <= cfg["t1"]:
-                s = switched_pair_state(psi0, h1, h2, t, t)
-                series.append(qstate.partial_trace(np.outer(s, s.conj()), (2, 2), keep=2))
-                continue
-            tau = min(t, t2) - cfg["t1"]
-            mix = np.zeros((2, 2), dtype=complex)
-            for sign, w, v in branches:
-                if v is None:
-                    continue
-                r2 = qstate.partial_trace(np.outer(v, v.conj()), (2, 2), keep=2)
-                u = one_particle_propagator(h2, r2, tau)
-                mix += w * (u @ r2 @ u.conj().T)
-            series.append(mix)
-        return series
+        return protocols.reduced_state_series(
+            protocol, psi0, h1, h2, cfg["t1"], t2, grid, keep, cfg["direction_a"])
 
     b_values = cfg["b_values"]
     t2_values = cfg["t2_values"]
     worst = 0.0
     if protocol == "switching":
-        baseline = rho1_series(b_values[0], t2_values[0])
+        baseline = series(b_values[0], t2_values[0], keep=1)
         for b_coef in b_values:
             for t2 in t2_values:
-                series = rho1_series(b_coef, t2)
-                dev = max(np.max(np.abs(a - b)) for a, b in zip(series, baseline))
-                worst = max(worst, dev)
+                worst = max(worst, np.max(np.abs(series(b_coef, t2, keep=1) - baseline)))
         quantity = "max deviation of reduced state #1 across the (B, t2) sweep"
     else:
         for b_coef in b_values:
             for t2 in t2_values:
-                sw = rho2_series_switching(b_coef, t2)
-                ze = rho2_series_zeno(b_coef, t2)
-                dev = max(np.max(np.abs(a - b)) for a, b in zip(ze, sw))
-                worst = max(worst, dev)
+                sw = series(b_coef, t2, keep=2)
+                ze = series(b_coef, t2, keep=2, protocol="zeno")
+                worst = max(worst, np.max(np.abs(ze - sw)))
         quantity = "max response of reduced state #2 to the distant t1 measurement"
 
     verdict = "PASS" if worst <= LOCALITY_PASS_TOL else "FAIL"
@@ -657,10 +610,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # parsing leaves the parser unchanged, so one build serves every call
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 1
     try:

@@ -8,7 +8,9 @@ States are never renormalized; norm drift is a monitored error channel.
 
 ``exact_pair_propagator`` is the closed-form solution for the quadratic
 sigma_z pair: each factor is a z rotation by the conserved initial average,
-accumulated only over the switched-on interval. ``integrate_qvn`` advances
+accumulated only over the switched-on interval. ``propagator_family`` and
+``switched_pair_states`` propagate a whole array of durations from one
+diagonalization per particle. ``integrate_qvn`` advances
 the isospectral q-deformed von Neumann flow ``i drho/dt = [H, rho^q]``.
 """
 
@@ -248,44 +250,42 @@ def one_particle_propagator(h: HamiltonianFunction, rho0, duration: float,
                             fallback_dt: float = 1e-3) -> np.ndarray:
     """Unitary of the self-consistent one-particle flow over ``duration``.
 
-    Closed form (a single Hermitian exponential) whenever the function's
-    generator is conserved along its own flow, which covers the whole built-in
-    catalogue; otherwise RK4 on the unitary at ``fallback_dt`` resolution.
+    The single-duration case of :func:`propagator_family`.
     """
-    if duration < 0:
-        raise ValueError("duration must be >= 0")
-    rho0 = np.asarray(rho0, dtype=complex)
-    if h.conserved_generator:
-        return qstate.herm_exp(h.effective_matrix(rho0), -1j * duration)
-    return propagator_family(h, rho0, [duration], fallback_dt)[duration]
+    return propagator_family(h, rho0, [duration], fallback_dt)[0]
 
 
 def propagator_family(h: HamiltonianFunction, rho0, durations,
-                      fallback_dt: float = 1e-3) -> dict[float, np.ndarray]:
-    """One-particle flow unitaries for every duration in ``durations``.
+                      fallback_dt: float = 1e-3) -> np.ndarray:
+    """One-particle flow unitaries for a 1-d array of durations, shape (n, d, d).
 
-    The conserved-generator case diagonalizes once and exponentiates per
-    duration; the generic case integrates the unitary ODE incrementally
-    through the sorted durations.
+    Closed form whenever the function's generator is conserved along its own
+    flow, which covers the whole built-in catalogue: one diagonalization, then
+    the phases exp(-i w tau) for every duration at once. Otherwise RK4 on the
+    unitary at ``fallback_dt`` resolution, integrated incrementally through
+    the sorted distinct durations. Entries follow the input order; repeated
+    durations share one unitary.
     """
-    taus = sorted({float(t) for t in durations})
-    if taus and taus[0] < 0:
+    taus = np.asarray(durations, dtype=float)
+    if taus.ndim != 1:
+        raise ValueError("durations must be a 1-d sequence")
+    if not np.all(taus >= 0):
         raise ValueError("durations must be >= 0")
     rho0 = np.asarray(rho0, dtype=complex)
-    d = rho0.shape[0]
     if h.conserved_generator:
-        g = h.effective_matrix(rho0)
-        w, v = qstate.eigh(g)
-        vh = v.conj().T
-        return {tau: (v * np.exp(-1j * w * tau)) @ vh for tau in taus}
+        w, v = qstate.eigh(h.effective_matrix(rho0))
+        # U(tau) = sum_k exp(-i w_k tau) P_k over the eigenprojectors P_k = v_k v_k^dag
+        proj = v.T[:, :, None] * v.T.conj()[:, None, :]
+        return np.tensordot(np.exp(-1j * np.multiply.outer(taus, w)), proj, axes=1)
 
     def deriv(u):
         return -1j * (h.effective_matrix(u @ rho0 @ u.conj().T) @ u)
 
-    out = {}
-    u = qstate.identity(d)
+    distinct, inverse = np.unique(taus, return_inverse=True)
+    out = np.empty((distinct.size,) + rho0.shape, dtype=complex)
+    u = qstate.identity(rho0.shape[0])
     t_cur = 0.0
-    for tau in taus:
+    for i, tau in enumerate(distinct):
         while tau - t_cur > 1e-15:
             step = min(fallback_dt, tau - t_cur)
             k1 = deriv(u)
@@ -294,26 +294,39 @@ def propagator_family(h: HamiltonianFunction, rho0, durations,
             k4 = deriv(u + step * k3)
             u = u + (step / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
             t_cur += step
-        out[tau] = u.copy()
-    return out
+        out[i] = u
+    return out[inverse.reshape(-1)]
 
 
-def switched_pair_state(psi0, h1: HamiltonianFunction, h2: HamiltonianFunction,
-                        tau1: float, tau2: float, dims=(2, 2)) -> np.ndarray:
-    """Composite state after each factor evolved for its own switched duration.
+def switched_pair_states(psi0, h1: HamiltonianFunction, h2: HamiltonianFunction,
+                         tau1, tau2, dims=(2, 2)) -> np.ndarray:
+    """Composite states after each factor evolved for its own switched durations.
 
-    The composite switched flow factorizes exactly into one-particle unitaries
-    (the two lifted generator terms commute at all times), so passing the
-    kappa integrals as durations reproduces the full switched solution.
+    ``tau1`` and ``tau2`` are equal-length 1-d arrays; row i of the (n, d1*d2)
+    result is the state after durations (tau1[i], tau2[i]). The composite
+    switched flow factorizes exactly into one-particle unitaries (the two
+    lifted generator terms commute at all times), so passing the kappa
+    integrals as durations reproduces the full switched solution.
     """
     psi0 = qstate.check_state(psi0)
     d1, d2 = (int(d) for d in dims)
     if d1 * d2 != psi0.size:
         raise ValueError("dims do not factor the composite dimension")
+    tau1, tau2 = np.asarray(tau1, dtype=float), np.asarray(tau2, dtype=float)
+    if tau1.shape != tau2.shape:
+        raise ValueError("tau1 and tau2 must have the same shape")
     rho = np.outer(psi0, psi0.conj())
-    u1 = one_particle_propagator(h1, qstate.reduced_density(rho, dims, 0), tau1)
-    u2 = one_particle_propagator(h2, qstate.reduced_density(rho, dims, 1), tau2)
-    return np.kron(u1, u2) @ psi0
+    u1 = propagator_family(h1, qstate.reduced_density(rho, dims, 0), tau1)
+    u2 = propagator_family(h2, qstate.reduced_density(rho, dims, 1), tau2)
+    # a stack of kron(u1, u2), entry by entry as np.kron forms it
+    pair = (u1[:, :, None, :, None] * u2[:, None, :, None, :]).reshape(-1, d1 * d2, d1 * d2)
+    return pair @ psi0
+
+
+def switched_pair_state(psi0, h1: HamiltonianFunction, h2: HamiltonianFunction,
+                        tau1: float, tau2: float, dims=(2, 2)) -> np.ndarray:
+    """The single-pair case of :func:`switched_pair_states`."""
+    return switched_pair_states(psi0, h1, h2, [tau1], [tau2], dims)[0]
 
 
 # ---------------------------------------------------------------------------

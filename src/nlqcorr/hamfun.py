@@ -39,10 +39,8 @@ def theta(x: float) -> int:
     theta(t - t_k) keeps a subsystem's generator on strictly before its
     detection time t_k; at x = 0 the particle already counts as detected.
     """
-    if not math.isfinite(x):
-        if math.isnan(x):
-            raise ValueError("theta argument must not be NaN")
-        return 1 if x < 0 else 0
+    if math.isnan(x):
+        raise ValueError("theta argument must not be NaN")
     return 1 if x < 0 else 0
 
 

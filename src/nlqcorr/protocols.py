@@ -29,10 +29,10 @@ from . import qstate
 from .dynamics import (
     Trajectory,
     one_particle_propagator,
-    propagator_family,
     switched_pair_state,
+    switched_pair_states,
 )
-from .hamfun import HamiltonianFunction, kappa
+from .hamfun import HamiltonianFunction
 
 PROJECTOR_TOL = 1e-12
 DEAD_BRANCH_TOL = 1e-14
@@ -259,6 +259,57 @@ def zeno_correlator(psi0, h1: HamiltonianFunction, h2: HamiltonianFunction,
                            metadata={"protocol": "zeno", "t1": t1, "t2": t2})
 
 
+def _check_series_inputs(protocol: str, t1: float, t2: float, t_grid) -> np.ndarray:
+    _validate_protocol_times(t1, t2, ordered=(protocol == "zeno"))
+    if protocol == "zeno" and not math.isfinite(t1):
+        raise ValueError("the Zeno protocol needs a finite measurement time t1")
+    t_grid = np.asarray(t_grid, dtype=float)
+    if t_grid.ndim != 1 or t_grid.size < 1 or np.any(np.diff(t_grid) <= 0) or t_grid[0] < 0:
+        raise ValueError("t_grid must be non-negative and strictly increasing")
+    return t_grid
+
+
+def _series_states(protocol: str, psi0, h1, h2, t1, t2, t_grid, direction_a):
+    """Pair states of either protocol on a grid, as ``(head, branches)``.
+
+    Switching: ``head`` holds the switched pair state at every grid time and
+    there are no branches. Zeno: ``head`` holds the joint unswitched states at
+    the grid times t <= t1, and each projection branch gives ``(sign, weight,
+    states)`` at the later times: particle #1 frozen at t1, particle #2
+    evolved from the branch-conditioned state for min(t, t2) - t1. A dead
+    branch carries ``None``.
+    """
+    if protocol == "switching":
+        return switched_pair_states(psi0, h1, h2, np.minimum(t_grid, t1), np.minimum(t_grid, t2)), []
+    if protocol != "zeno":
+        raise ValueError(f"unknown protocol {protocol!r}")
+    pre = t_grid[t_grid <= t1]
+    post = np.minimum(t_grid[t_grid > t1], t2) - t1
+    _, branches = zeno_branches(psi0, h1, h2, t1, direction_a)
+    return switched_pair_states(psi0, h1, h2, pre, pre), [
+        (sign, w, None if v is None else switched_pair_states(v, h1, h2, np.zeros_like(post), post))
+        for sign, w, v in branches
+    ]
+
+
+def reduced_state_series(protocol: str, psi0, h1: HamiltonianFunction,
+                         h2: HamiltonianFunction, t1: float, t2: float, t_grid,
+                         keep: int, direction_a=(1.0, 0.0, 0.0)) -> np.ndarray:
+    """Reduced matrices of particle ``keep`` (1 or 2) on a time grid, (n, 2, 2).
+
+    Switching: the reduced state of the switched pair state. Zeno: the joint
+    unswitched evolution up to t1, then the probability-weighted mixture over
+    the two projection branches (see :func:`ensemble_average_trajectory`).
+    """
+    t_grid = _check_series_inputs(protocol, t1, t2, t_grid)
+    head, branches = _series_states(protocol, psi0, h1, h2, t1, t2, t_grid, direction_a)
+    parts = [qstate.reduced_states(head, (2, 2), keep)]
+    if branches:
+        parts.append(sum(w * qstate.reduced_states(states, (2, 2), keep)
+                         for _, w, states in branches if states is not None))
+    return np.concatenate(parts)
+
+
 def ensemble_average_trajectory(protocol: str, psi0, h1: HamiltonianFunction,
                                 h2: HamiltonianFunction, t1: float, t2: float,
                                 observables: dict[str, np.ndarray], t_grid,
@@ -274,83 +325,39 @@ def ensemble_average_trajectory(protocol: str, psi0, h1: HamiltonianFunction,
     accepts any pair of times (including +inf, never detected); the Zeno
     protocol needs a finite t1 <= t2.
     """
-    _validate_protocol_times(t1, t2, ordered=(protocol == "zeno"))
-    if protocol == "zeno" and not math.isfinite(t1):
-        raise ValueError("the Zeno protocol needs a finite measurement time t1")
+    t_grid = _check_series_inputs(protocol, t1, t2, t_grid)
     psi0 = qstate.check_state(psi0)
-    t_grid = np.asarray(t_grid, dtype=float)
-    if t_grid.ndim != 1 or t_grid.size < 1 or np.any(np.diff(t_grid) <= 0) or t_grid[0] < 0:
-        raise ValueError("t_grid must be non-negative and strictly increasing")
     obs = {name: qstate.check_hermitian(op, name=f"observable {name!r}")
            for name, op in observables.items()}
-    rho = np.outer(psi0, psi0.conj())
-    rho1 = qstate.partial_trace(rho, (2, 2), keep=1)
-    rho2 = qstate.partial_trace(rho, (2, 2), keep=2)
-    eye2 = qstate.identity(2)
-    values = {name: np.empty(t_grid.size) for name in obs}
     meta = {"protocol": protocol, "t1": t1, "t2": t2,
             "hamiltonians": (h1.label, h2.label)}
 
+    def averages(states):
+        return {name: np.einsum("ti,ij,tj->t", states.conj(), op, states).real
+                for name, op in obs.items()}
+
+    head, branches = _series_states(protocol, psi0, h1, h2, t1, t2, t_grid, direction_a)
     if protocol == "switching":
-        fam1 = propagator_family(h1, rho1, {kappa(t, t1) for t in t_grid})
-        fam2 = propagator_family(h2, rho2, {kappa(t, t2) for t in t_grid})
-        states = np.empty((t_grid.size, psi0.size), dtype=complex)
-        for i, t in enumerate(t_grid):
-            states[i] = np.kron(fam1[kappa(t, t1)], fam2[kappa(t, t2)]) @ psi0
-        for name, op in obs.items():
-            values[name] = np.einsum("ti,ij,tj->t", states.conj(), op, states).real
         meta["integrator"] = "closed-form switched propagator"
-        return Trajectory(times=t_grid, states=states, observables=values, metadata=meta)
+        return Trajectory(times=t_grid, states=head, observables=averages(head), metadata=meta)
 
-    if protocol != "zeno":
-        raise ValueError(f"unknown protocol {protocol!r}")
-
-    pre_mask = t_grid <= t1
-    fam1 = propagator_family(h1, rho1, {t for t in t_grid[pre_mask]})
-    fam2 = propagator_family(h2, rho2, {t for t in t_grid[pre_mask]})
-    _, branches = zeno_branches(psi0, h1, h2, t1, direction_a)
-    post_taus = {min(t, t2) - t1 for t in t_grid[~pre_mask]}
-    branch_data = []
-    for sign, w, v in branches:
-        if v is None:
-            branch_data.append((sign, 0.0, None, None))
-            continue
-        rho2_b = qstate.partial_trace(np.outer(v, v.conj()), (2, 2), keep=2)
-        fam_b = propagator_family(h2, rho2_b, post_taus)
-        branch_data.append((sign, w, v, fam_b))
-
-    if branch != "mixture":
-        selected = [b for b in branch_data if b[0] == branch]
-        if not selected or selected[0][2] is None:
+    if branch == "mixture":
+        weighted = [(w, states) for _, w, states in branches if states is not None]
+    else:
+        weighted = [(1.0, states) for sign, _, states in branches
+                    if sign == branch and states is not None]
+        if not weighted:
             raise ValueError(f"branch {branch!r} unavailable (dead or unknown)")
-
-    states = None
-    for i, t in enumerate(t_grid):
-        if t <= t1:
-            psi_t = np.kron(fam1[t], fam2[t]) @ psi0
-            for name, op in obs.items():
-                values[name][i] = qstate.expectation(psi_t, op)
-            continue
-        tau = min(t, t2) - t1
-        for name, op in obs.items():
-            if branch == "mixture":
-                acc = 0.0
-                for sign, w, v, fam_b in branch_data:
-                    if v is None:
-                        continue
-                    vt = np.kron(eye2, fam_b[tau]) @ v
-                    acc += w * qstate.expectation(vt, op)
-                values[name][i] = acc
-            else:
-                sign, w, v, fam_b = selected[0]
-                vt = np.kron(eye2, fam_b[tau]) @ v
-                values[name][i] = qstate.expectation(vt, op)
+    pre = averages(head)
+    post = [(w, averages(states)) for w, states in weighted]
+    values = {name: np.concatenate([pre[name], sum(w * vals[name] for w, vals in post)])
+              for name in obs}
 
     meta["integrator"] = "closed-form branch mixture"
     meta["direction_a"] = tuple(float(x) for x in np.asarray(direction_a, dtype=float))
     meta["branch"] = branch
-    meta["branch_weights"] = tuple(b[1] for b in branch_data)
-    return Trajectory(times=t_grid, states=states, observables=values, metadata=meta)
+    meta["branch_weights"] = tuple(w for _, w, _ in branches)
+    return Trajectory(times=t_grid, states=None, observables=values, metadata=meta)
 
 
 # ---------------------------------------------------------------------------

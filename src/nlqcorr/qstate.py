@@ -129,6 +129,22 @@ def partial_trace(rho, dims, keep: int) -> np.ndarray:
     return reduced_density(rho, (d1, d2), keep - 1)
 
 
+def reduced_states(psis, dims, keep: int) -> np.ndarray:
+    """Reduced matrices of one factor of a stack of bipartite pure states.
+
+    ``psis`` is an (n, d1 * d2) array of state vectors; returns the (n, d, d)
+    stack of reduced matrices of factor ``keep`` (1-based, as in
+    :func:`partial_trace`).
+    """
+    d1, d2 = (int(d) for d in dims)
+    if keep not in (1, 2):
+        raise ValueError("keep must be 1 or 2")
+    m = np.asarray(psis, dtype=complex).reshape(-1, d1, d2)
+    if keep == 2:
+        m = m.transpose(0, 2, 1)
+    return np.einsum("nab,ncb->nac", m, m.conj())
+
+
 def lift_operator(op, dims, index: int) -> np.ndarray:
     """Embed a one-subsystem operator into the composite space at ``index`` (0-based)."""
     dims = tuple(int(d) for d in dims)

@@ -123,3 +123,35 @@ def test_sample_variance_concentrates_like_one_over_n(rng):
         variances[n] = means.var()
     ratio = variances[8] / variances[32]
     assert 2.5 <= ratio <= 6.5   # ideal 4, generous sampling window
+
+
+def test_frequency_average_accepts_lists_and_arrays(rng):
+    obs = random_hermitian(rng, 4)
+    vectors = [random_state(rng, 4) for _ in range(5)]
+    densities = [np.outer(v, v.conj()) for v in vectors]
+    expected = np.mean([qstate.expectation(v, obs) for v in vectors])
+    for states in (vectors, np.array(vectors), densities, np.array(densities)):
+        assert beams.frequency_average(obs, states) == pytest.approx(expected, abs=1e-13)
+
+
+def test_frequency_average_keeps_expectation_checks(rng):
+    obs = random_hermitian(rng, 4)
+    for empty in ([], np.empty((0, 4), dtype=complex)):
+        with pytest.raises(ValueError, match="at least one"):
+            beams.frequency_average(obs, empty)
+    # dimension mismatch, for state vectors and for density matrices
+    with pytest.raises(ValueError, match="do not match"):
+        beams.frequency_average(obs, [random_state(rng, 2)] * 3)
+    with pytest.raises(ValueError, match="do not match"):
+        beams.frequency_average(obs, np.stack([np.eye(2) / 2] * 3))
+    with pytest.raises(ValueError, match="Hermitian"):
+        beams.frequency_average(obs + 1j * np.eye(4), [random_state(rng, 4)])
+    # a non-Hermitian "density matrix" leaves an imaginary residue above tolerance
+    residue = 10 * qstate.EXPECTATION_IMAG_TOL
+    bad = np.array([[0.5, residue * 1j], [0.0, 0.5]])
+    good = np.eye(2) / 2
+    with pytest.raises(ValueError, match="imaginary residue"):
+        beams.frequency_average(qstate.sigma_x, [good, bad, good])
+    # a residue within tolerance passes
+    ok = np.array([[0.5, 0.1 * qstate.EXPECTATION_IMAG_TOL * 1j], [0.0, 0.5]])
+    assert beams.frequency_average(qstate.sigma_x, [good, ok]) == pytest.approx(0.0, abs=1e-10)

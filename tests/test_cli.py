@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -207,3 +212,28 @@ def test_exit_code_numerical_failure(tmp_path):
 def test_exit_code_usage_error():
     assert run(["no-such-command"]) == 1
     assert run([]) == 1
+
+
+def test_main_calls_in_one_process_match_fresh_runs(tmp_path, capsys):
+    # main reuses one parser: each call must behave as a fresh process would
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    calls = [
+        ["locality-check", "--protocol", "zeno", "--dt", "0.5"],
+        ["locality-check", "--no-such-flag", "1"],
+        ["history-check", "--trials", "3", "--dim", "3"],
+        ["figure2", "--t-end", "9", "--dt", "0.5", "--B", "2", "--out", "fig.csv"],
+        ["locality-check", "--dt", "0.5", "--state", "singlet"],
+    ]
+    for argv in calls:
+        fresh = subprocess.run([sys.executable, "-m", "nlqcorr.cli", *argv], cwd=tmp_path,
+                               env=env, capture_output=True, text=True, timeout=120)
+        fresh_csv = (tmp_path / "fig.csv").read_bytes() if "figure2" in argv else None
+        capsys.readouterr()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.chdir(tmp_path)
+            code = cli.main(argv)
+        out, err = capsys.readouterr()
+        assert (code, out, err) == (fresh.returncode, fresh.stdout, fresh.stderr)
+        if fresh_csv is not None:
+            assert (tmp_path / "fig.csv").read_bytes() == fresh_csv
+    assert cli._parser() is cli._parser()

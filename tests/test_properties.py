@@ -1,4 +1,4 @@
-"""Property tests for the spectral route and the numerical-failure checks."""
+"""Property tests for the spectral route, the batched propagators and the numerical-failure checks."""
 
 import re
 import warnings
@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from nlqcorr import dynamics, hamfun, qstate
+from nlqcorr import beams, dynamics, hamfun, protocols, qstate
 
 SETTINGS = settings(max_examples=60, deadline=None)
 
@@ -160,3 +160,147 @@ def test_exact_pair_propagator_matches_reduced_state_reference(seed, a, b, t1, t
     sched = hamfun.SwitchingSchedule((t1, t2), (2, 2))
     got = dynamics.exact_pair_propagator(psi0, a, b, sched, t)
     assert np.max(np.abs(got - exact_pair_reference(psi0, a, b, sched, t))) <= 1e-13
+
+
+# --- batched propagation ---
+
+FAST = settings(max_examples=30, deadline=None)
+
+catalogue = st.tuples(st.sampled_from(hamfun.CATALOGUE_NAMES), st.floats(-10, 10))
+
+
+def pair_state(seed):
+    return random_unitary(seed, 4)[:, 0]
+
+
+def one_particle_density(seed):
+    psi = random_unitary(seed, 2)[:, 0]
+    return np.outer(psi, psi.conj())
+
+
+def nonconserved(cz, cx):
+    # sigma_z quadratic plus sigma_x linear: the terms do not commute
+    return hamfun.HamiltonianFunction("nonconserved", terms=(
+        hamfun.GeneratorTerm(qstate.sigma_z, power=1, coef=cz),
+        hamfun.GeneratorTerm(qstate.sigma_x, power=0, coef=cx)))
+
+
+# unsorted, with zeros and repeats; the large ones reach phases of order 1e4
+durations = st.lists(st.one_of(st.just(0.0), st.floats(0, 10), st.floats(10, 1e3)),
+                     min_size=1, max_size=12).flatmap(
+    lambda taus: st.permutations(taus + taus[: len(taus) // 2]))
+
+
+@FAST
+@given(catalogue, seeds, durations)
+def test_propagator_stack_matches_single_durations_conserved(entry, seed, taus):
+    h = hamfun.catalogue_entry(*entry)
+    rho0 = one_particle_density(seed)
+    stack = dynamics.propagator_family(h, rho0, taus)
+    assert stack.shape == (len(taus), 2, 2)
+    g = h.effective_matrix(rho0)
+    for u, tau in zip(stack, taus):
+        assert np.max(np.abs(u - dynamics.one_particle_propagator(h, rho0, tau))) <= 1e-12
+        # independent closed form, to the roundoff of a phase |w| tau
+        scale = max(1.0, np.abs(np.linalg.eigvalsh(g)).max() * tau)
+        assert np.max(np.abs(u - qstate.herm_exp(g, -1j * tau))) <= 1e-14 * scale
+
+
+@FAST
+@given(st.floats(0.5, 4.0), st.floats(0.5, 4.0), seeds,
+       st.lists(st.integers(0, 200), min_size=1, max_size=6))
+def test_propagator_stack_matches_single_durations_nonconserved(cz, cx, seed, steps):
+    # durations on the fallback grid, unsorted and repeated, so the incremental
+    # RK4 takes the same steps as a run from zero to each duration
+    dt = 0.01
+    taus = [k * dt for k in steps + steps[:2]]
+    h = nonconserved(cz, cx)
+    rho0 = one_particle_density(seed)
+    stack = dynamics.propagator_family(h, rho0, taus, fallback_dt=dt)
+    for u, tau in zip(stack, taus):
+        single = dynamics.one_particle_propagator(h, rho0, tau, fallback_dt=dt)
+        assert np.max(np.abs(u - single)) <= 1e-12
+
+
+def test_propagator_family_rejects_bad_durations():
+    h = hamfun.catalogue_entry("quadratic-z", 1.0)
+    rho0 = one_particle_density(0)
+    for bad in ([-1.0], [0.5, np.nan], [[0.5]]):
+        with pytest.raises(ValueError):
+            dynamics.propagator_family(h, rho0, bad)
+
+
+def sub_beam_loop(beam, t):
+    """Per-pair oracle: one switched pair state and one partial trace per pair."""
+    out = []
+    for t0, t1, t2 in beam.times:
+        psi = dynamics.switched_pair_state(
+            beam.psi0, beam.h1, beam.h2, max(0.0, min(t, t1) - t0), max(0.0, min(t, t2) - t0))
+        out.append(qstate.partial_trace(np.outer(psi, psi.conj()), (2, 2), keep=1))
+    return np.stack(out)
+
+
+@st.composite
+def beam_setups(draw):
+    n = draw(st.integers(1, 8))
+    rng = np.random.default_rng(draw(seeds))
+    births = rng.uniform(0.0, 4.0, n)
+    flights = rng.exponential(2.5, size=(3, n))
+    h1 = hamfun.catalogue_entry(*draw(catalogue))
+    h2 = hamfun.catalogue_entry(*draw(catalogue))
+    return pair_state(draw(seeds)), h1, h2, births, flights, draw(st.floats(0.0, 8.0))
+
+
+@FAST
+@given(beam_setups())
+def test_sub_beam_state_matches_pair_loop_and_ignores_t2(setup):
+    psi0, h1, h2, births, (f1, f2, f2_redrawn), t = setup
+    beam = beams.BeamSpec.from_flight_times(psi0, h1, h2, births, f1, f2)
+    got = beams.sub_beam_state(beam, t)
+    assert got.shape == (beam.n_pairs, 2, 2)
+    assert np.max(np.abs(got - sub_beam_loop(beam, t))) <= 1e-12
+    redrawn = beams.sub_beam_state(
+        beams.BeamSpec.from_flight_times(psi0, h1, h2, births, f1, f2_redrawn), t)
+    assert np.max(np.abs(got - redrawn)) <= 1e-12
+
+
+def locality_series_per_point(protocol, psi0, h1, h2, t1, t2, grid, keep, direction_a):
+    """The reduced-state series as locality-check computed it, point by point."""
+    def reduced(psi):
+        return qstate.partial_trace(np.outer(psi, psi.conj()), (2, 2), keep=keep)
+
+    if protocol == "switching":
+        return np.stack([reduced(dynamics.switched_pair_state(
+            psi0, h1, h2, hamfun.kappa(t, t1), hamfun.kappa(t, t2))) for t in grid])
+    _, branches = protocols.zeno_branches(psi0, h1, h2, t1, direction_a)
+    series = []
+    for t in grid:
+        if t <= t1:
+            series.append(reduced(dynamics.switched_pair_state(psi0, h1, h2, t, t)))
+            continue
+        mix = np.zeros((2, 2), dtype=complex)
+        for _, w, v in branches:
+            if v is not None:
+                u2 = dynamics.one_particle_propagator(
+                    h2, qstate.partial_trace(np.outer(v, v.conj()), (2, 2), keep=2), min(t, t2) - t1)
+                mix += w * reduced(np.kron(qstate.identity(2), u2) @ v)
+        series.append(mix)
+    return np.stack(series)
+
+
+@FAST
+@given(catalogue, catalogue, seeds, st.integers(2, 15), st.floats(0.05, 0.5),
+       st.floats(0.0, 0.8), st.floats(0.0, 1.0))
+def test_reduced_state_series_matches_per_point_formula(e1, e2, seed, n, dt, u1, u2):
+    psi0 = pair_state(seed)
+    h1, h2 = hamfun.catalogue_entry(*e1), hamfun.catalogue_entry(*e2)
+    grid = np.arange(n) * dt
+    # both detection times mostly inside the grid, t1 <= t2
+    t1 = u1 * grid[-1]
+    t2 = t1 + u2 * grid[-1]
+    for protocol in ("switching", "zeno"):
+        for keep in (1, 2):
+            args = (protocol, psi0, h1, h2, t1, t2, grid, keep, (1.0, 0.0, 0.0))
+            got = protocols.reduced_state_series(*args)
+            assert got.shape == (n, 2, 2)
+            assert np.max(np.abs(got - locality_series_per_point(*args))) <= 1e-12
