@@ -1,10 +1,16 @@
 """Time evolution: fixed-step RK4 integrators and closed-form propagators.
 
-The generic integrator advances ``i dpsi/dt = M(t, psi) psi`` with classical
+``integrate`` advances ``i dpsi/dt = M(t, psi) psi`` with classical
 4th-order steps on a uniform grid, splitting any step that straddles a
 switching time so the discontinuous generator is never sampled across a
 switch (the active term set is frozen per sub-interval at its midpoint).
-States are never renormalized; norm drift is a monitored error channel.
+One RK4 step (``_rk4``) serves every state and unitary flow here except the
+q-deformed one, whose stages carry their own domain checks. Per segment the
+right-hand side is either the stacked product of all active generator terms
+c <O>^p O, or, for any other generator, each factor's gradient applied to its
+own axis of psi (``SwitchedHamiltonian.apply``); the composite matrix is
+never formed. States are never renormalized; norm drift is a monitored error
+channel.
 
 ``exact_pair_propagator`` is the closed-form solution for the quadratic
 sigma_z pair: each factor is a z rotation by the conserved initial average,
@@ -22,10 +28,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import _kernels, qstate
+from . import qstate
 from ._backend import backend_name
 from .hamfun import (
     HamiltonianFunction,
+    NonFiniteGradient,
     SwitchedHamiltonian,
     SwitchingSchedule,
     kappa,
@@ -77,15 +84,43 @@ def _as_switched(h, dim: int) -> SwitchedHamiltonian:
     raise TypeError("expected a SwitchedHamiltonian or HamiltonianFunction")
 
 
-def _py_rk4_step(h: SwitchedHamiltonian, psi: np.ndarray, t_mid: float, dt: float) -> np.ndarray:
-    def f(p):
-        return -1j * (h.effective_matrix(t_mid, p) @ p)
+def _rk4(f, y: np.ndarray, dt: float) -> np.ndarray:
+    """One classical RK4 step of dy/dt = f(y)."""
+    k1 = f(y)
+    k2 = f(y + (0.5 * dt) * k1)
+    k3 = f(y + (0.5 * dt) * k2)
+    k4 = f(y + dt * k3)
+    return y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
-    k1 = f(psi)
-    k2 = f(psi + (0.5 * dt) * k1)
-    k3 = f(psi + (0.5 * dt) * k2)
-    k4 = f(psi + dt * k3)
-    return psi + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+def _state_rhs(h: SwitchedHamiltonian, t_mid: float):
+    """psi -> -i M(t_mid, psi) psi, with the active term set frozen at ``t_mid``.
+
+    Structured generators M = sum_j c_j <O_j>^p_j O_j apply all active terms
+    as one stacked product; any other generator goes factor by factor
+    through :meth:`SwitchedHamiltonian.apply`.
+    """
+    struct = h.structured()
+    if struct is None:
+        def f(psi):
+            try:
+                return -1j * h.apply(t_mid, psi)
+            except NonFiniteGradient:
+                # a blown-up stage: the norm check names the first bad sample
+                return np.full_like(psi, np.nan)
+
+        return f
+    ops, coefs, powers, tsw = struct
+    on = t_mid < tsw
+    m, d = int(on.sum()), h.dim
+    # the active operators stacked as one (m d, d) matrix; np.dot beats @ on tiny arrays
+    ops, icoefs, powers = ops[on].reshape(m * d, d), -1j * coefs[on], powers[on]
+
+    def f(psi):
+        w = np.dot(ops, psi).reshape(m, d)
+        return np.dot(icoefs * np.dot(w, psi.conj()).real ** powers, w)
+
+    return f
 
 
 def integrate(h, psi0, t_end: float, dt: float,
@@ -123,7 +158,6 @@ def integrate(h, psi0, t_end: float, dt: float,
                      if math.isfinite(tk) and eps < tk < big_t - eps})
     breaks = [0.0] + events + [big_t]
 
-    struct = h.structured()
     psi = psi0.astype(complex)
     next_rec = 1
     checked = 1
@@ -149,35 +183,12 @@ def integrate(h, psi0, t_end: float, dt: float,
         for ta, tb in zip(breaks[:-1], breaks[1:]):
             if tb - ta <= eps:
                 continue
-            t_mid = 0.5 * (ta + tb)
-            if struct is not None:
-                ops, coefs, powers, tsw = struct
-                mask = t_mid < tsw
-                aops = np.ascontiguousarray(ops[mask])
-                acoefs = np.ascontiguousarray(coefs[mask])
-                apows = np.ascontiguousarray(powers[mask])
-
-                def step_once(p, h_step):
-                    return _kernels.rk4_state_step(p, aops, acoefs, apows, h_step)
-
-                def run_batch(p, m, idx0):
-                    return _kernels.rk4_state_run(p, aops, acoefs, apows, dt, m, states, idx0)
-            else:
-
-                def step_once(p, h_step, _t=t_mid):
-                    return _py_rk4_step(h, p, _t, h_step)
-
-                def run_batch(p, m, idx0, _t=t_mid):
-                    for j in range(m):
-                        p = _py_rk4_step(h, p, _t, dt)
-                        states[idx0 + j] = p
-                    return p
-
+            f = _state_rhs(h, 0.5 * (ta + tb))
             # finish a step left dangling by an event inside it
             if next_rec <= n and t_cur > times[next_rec - 1] + eps:
                 target = min(times[next_rec], tb)
                 if target > t_cur + eps:
-                    psi = step_once(psi, target - t_cur)
+                    psi = _rk4(f, psi, target - t_cur)
                     t_cur = target
                 if abs(t_cur - times[next_rec]) <= eps:
                     states[next_rec] = psi
@@ -187,15 +198,16 @@ def integrate(h, psi0, t_end: float, dt: float,
             # whole steps inside the segment, checked batch by batch
             m = int(math.floor((tb - t_cur) / dt + 1e-9))
             for lo in range(0, m, CHECK_BATCH):
-                mb = min(CHECK_BATCH, m - lo)
-                psi = run_batch(psi, mb, next_rec)
-                next_rec += mb
+                for _ in range(min(CHECK_BATCH, m - lo)):
+                    psi = _rk4(f, psi, dt)
+                    states[next_rec] = psi
+                    next_rec += 1
                 check_recorded()
             if m > 0:
                 t_cur = times[next_rec - 1]
             # partial step up to the event boundary
             if tb - t_cur > eps:
-                psi = step_once(psi, tb - t_cur)
+                psi = _rk4(f, psi, tb - t_cur)
                 t_cur = tb
 
     if next_rec != n + 1:
@@ -288,11 +300,7 @@ def propagator_family(h: HamiltonianFunction, rho0, durations,
     for i, tau in enumerate(distinct):
         while tau - t_cur > 1e-15:
             step = min(fallback_dt, tau - t_cur)
-            k1 = deriv(u)
-            k2 = deriv(u + (0.5 * step) * k1)
-            k3 = deriv(u + (0.5 * step) * k2)
-            k4 = deriv(u + step * k3)
-            u = u + (step / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            u = _rk4(deriv, u, step)
             t_cur += step
         out[i] = u
     return out[inverse.reshape(-1)]

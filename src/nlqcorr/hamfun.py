@@ -22,6 +22,7 @@ other subsystem's Hamiltonian function and detection time.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -164,28 +165,61 @@ class HamiltonianFunction:
         return f"HamiltonianFunction({self.label!r})"
 
 
-def _fd_gradient(energy: Callable[[np.ndarray], float], rho: np.ndarray, step: float) -> np.ndarray:
-    """Central finite-difference gradient over the Hermitian entries of rho."""
-    d = rho.shape[0]
-    g = np.zeros((d, d), dtype=complex)
+class NonFiniteGradient(ValueError):
+    """A finite-difference gradient came out with non-finite entries.
+
+    ``dynamics.integrate`` reads it as a blown-up stage and reports the
+    failing sample as a ``NumericalError``.
+    """
+
+
+@functools.lru_cache(maxsize=32)
+def _fd_directions(d: int, step: float) -> tuple[np.ndarray, np.ndarray]:
+    """The d^2 perturbations ``step * E_k`` of the central differences, and their read-out.
+
+    The Hermitian units E_k come in the order the gradient reads them: the
+    diagonal units, then for each pair i < j (row-major) the symmetric unit
+    (1 at ij and ji) and the antisymmetric one (i at ij, -i at ji). With D_k
+    the directional derivative along E_k, G = sum_k w_k D_k E_k, where w_k is
+    1 on the diagonal and 1/2 off it; the read-out is that map as a
+    (d^2, d^2) matrix acting on the vector of D_k.
+    """
+    units = []
     for i in range(d):
         e = np.zeros((d, d), dtype=complex)
         e[i, i] = 1.0
-        g[i, i] = (energy(rho + step * e) - energy(rho - step * e)) / (2 * step)
+        units.append(e)
     for i in range(d):
         for j in range(i + 1, d):
             ex = np.zeros((d, d), dtype=complex)
             ex[i, j] = 1.0
             ex[j, i] = 1.0
-            dx = (energy(rho + step * ex) - energy(rho - step * ex)) / (2 * step)
             ey = np.zeros((d, d), dtype=complex)
             ey[i, j] = 1j
             ey[j, i] = -1j
-            dy = (energy(rho + step * ey) - energy(rho - step * ey)) / (2 * step)
-            g[i, j] = (dx + 1j * dy) / 2
-            g[j, i] = (dx - 1j * dy) / 2
-    if not np.all(np.isfinite(g)):
-        raise ValueError("finite-difference gradient produced non-finite entries")
+            units += [ex, ey]
+    units = np.stack(units)
+    weights = np.where(np.arange(d * d) < d, 1.0, 0.5)
+    readout = np.ascontiguousarray((weights[:, None, None] * units).reshape(d * d, d * d).T)
+    pert = step * units
+    pert.setflags(write=False)
+    readout.setflags(write=False)
+    return pert, readout
+
+
+def _fd_gradient(energy: Callable[[np.ndarray], float], rho: np.ndarray, step: float) -> np.ndarray:
+    """Central finite-difference gradient over the Hermitian entries of rho.
+
+    Calls ``energy`` 2 d^2 times: at rho + p and then rho - p for every
+    perturbation p of :func:`_fd_directions`.
+    """
+    d = rho.shape[0]
+    pert, readout = _fd_directions(d, step)
+    plus, minus = rho + pert, rho - pert
+    diff = np.array([energy(a) - energy(b) for a, b in zip(plus, minus)]) / (2 * step)
+    g = np.dot(readout, diff).reshape(d, d)
+    if not np.isfinite(g).all():
+        raise NonFiniteGradient("finite-difference gradient produced non-finite entries")
     return g
 
 
@@ -374,22 +408,44 @@ class SwitchedHamiltonian:
                 total += part.energy(qstate.reduced_density(rho, self.dims, k))
         return float(total)
 
+    def _factors(self, t: float, psi):
+        """(k, part, x_k, rho_k) for every part switched on at time t.
+
+        ``x_k`` is psi viewed as (before, d_k, after) and ``rho_k`` = sum x x^dag
+        over the other factors, the k-th reduced density matrix of |psi><psi|.
+        """
+        for k, (part, tk) in enumerate(zip(self.parts, self.detection_times)):
+            if theta(t - tk):
+                d = self.dims[k]
+                x = psi.reshape(math.prod(self.dims[:k]), d, -1)
+                xk = x.transpose(1, 0, 2).reshape(d, -1)
+                yield k, part, x, xk @ xk.conj().T
+
     def effective_matrix(self, t: float, psi) -> np.ndarray:
         """Composite Hermitian generator at time t for the pure state psi."""
         psi = np.asarray(psi, dtype=complex)
-        rho = np.outer(psi, psi.conj())
         m = np.zeros((self.dim, self.dim), dtype=complex)
-        for k, (part, tk) in enumerate(zip(self.parts, self.detection_times)):
-            if theta(t - tk):
-                g = part.effective_matrix(qstate.reduced_density(rho, self.dims, k))
-                m += qstate.lift_operator(g, self.dims, k)
+        for k, part, _, rho_k in self._factors(t, psi):
+            m += qstate.lift_operator(part.effective_matrix(rho_k), self.dims, k)
         return m
 
+    def apply(self, t: float, psi) -> np.ndarray:
+        """M(t, psi) psi, factor by factor, without forming the composite matrix.
+
+        Each switched-on part's gradient acts on its own axis of psi viewed
+        as a (d_1, ..., d_n) tensor; equals ``effective_matrix(t, psi) @ psi``.
+        """
+        psi = np.asarray(psi, dtype=complex)
+        out = np.zeros_like(psi)
+        for _, part, x, rho_k in self._factors(t, psi):
+            out += (part.effective_matrix(rho_k) @ x).reshape(-1)
+        return out
+
     def structured(self):
-        """Stacked (ops, coefs, powers, switch_times) for the fast kernels.
+        """Stacked (ops, coefs, powers, switch_times) for the stacked state right-hand side.
 
         Available only when every part carries explicit generator terms;
-        returns None otherwise (the generic integrator path then applies).
+        returns None otherwise (the integrator then uses :meth:`apply`).
         """
         if not self._structured_known:
             if any(p.terms is None for p in self.parts):

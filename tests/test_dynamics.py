@@ -1,4 +1,6 @@
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -148,6 +150,36 @@ def test_integrate_generic_path_matches_structured(rng):
     tr_ref = dynamics.integrate(comp_ref, psi0, 2.0, 1e-2)
     assert tr_user.metadata["fd_gradient"] == (True, False)
     assert np.max(np.abs(tr_user.states - tr_ref.states)) <= 1e-9
+
+
+def test_integrate_blowup_raises_numerical_error_on_both_paths():
+    # an oversized step on a huge quadratic coupling overflows inside the first step;
+    # the finite-difference gradient of the generic path must not escape as ValueError
+    coef = 1e150
+
+    def energy(rho):
+        return coef * np.trace(rho @ qstate.sigma_z).real ** 2 / 2
+
+    sched = hamfun.SwitchingSchedule.never((2, 2))
+    paths = {
+        "structured": [hamfun.quadratic_average(qstate.sigma_z, coef)] * 2,
+        "generic": [hamfun.from_callable(energy)] * 2,
+    }
+    messages = {}
+    for name, parts in paths.items():
+        comp = hamfun.polchinski_extend(parts, (2, 2), sched)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(dynamics.NumericalError) as info:
+                dynamics.integrate(comp, qstate.tilted_pair_state(), 5.0, 0.5)
+        messages[name] = str(info.value)
+    assert "at t = 0.500000 " in messages["structured"]
+    assert messages["generic"] == messages["structured"]
+    # outside integrate the gradient keeps its ValueError
+    huge = np.diag([1e200, 0.0]).astype(complex)
+    with pytest.raises(ValueError, match="non-finite"):
+        with np.errstate(over="ignore", invalid="ignore"):
+            hamfun.from_callable(energy).effective_matrix(huge)
 
 
 def test_integrate_input_validation():

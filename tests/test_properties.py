@@ -1,4 +1,4 @@
-"""Property tests for the spectral route, the batched propagators and the numerical-failure checks."""
+"""Property tests for the spectral route, the batched propagators, the state right-hand sides and the numerical-failure checks."""
 
 import re
 import warnings
@@ -304,3 +304,165 @@ def test_reduced_state_series_matches_per_point_formula(e1, e2, seed, n, dt, u1,
             got = protocols.reduced_state_series(*args)
             assert got.shape == (n, 2, 2)
             assert np.max(np.abs(got - locality_series_per_point(*args))) <= 1e-12
+
+
+# --- state right-hand sides ---
+
+def unit_hermitian(seed, d):
+    """A random Hermitian matrix of spectral norm 1."""
+    h = from_spectrum(seed, np.random.default_rng(seed).uniform(-1.0, 1.0, d))
+    return h / np.max(np.abs(np.linalg.eigvalsh(h)))
+
+
+def quadratic_energy(coef, op):
+    def energy(rho):
+        return coef * np.trace(rho @ op).real ** 2 / 2
+    return energy
+
+
+def quadratic_gradient(coef, op):
+    def gradient(rho):
+        return coef * np.trace(rho @ op).real * op
+    return gradient
+
+
+@st.composite
+def factor_parts(draw, d):
+    """One Hamiltonian function on a d-level factor: explicit terms, a supplied gradient or FD."""
+    kind = draw(st.sampled_from(["terms", "gradient", "fd"]))
+    coef = draw(st.floats(-2.0, 2.0))
+    op = unit_hermitian(draw(seeds), d)
+    if kind == "terms":
+        extra = hamfun.GeneratorTerm(unit_hermitian(draw(seeds), d), draw(st.integers(0, 2)),
+                                     draw(st.floats(-2.0, 2.0)))
+        return hamfun.HamiltonianFunction(
+            "terms", terms=(hamfun.GeneratorTerm(op, power=1, coef=coef), extra))
+    if kind == "gradient":
+        return hamfun.from_callable(quadratic_energy(coef, op), gradient=quadratic_gradient(coef, op))
+    quadratic, linear_op = quadratic_energy(coef, op), unit_hermitian(draw(seeds), d)
+
+    def energy(rho):
+        return quadratic(rho) + np.trace(rho @ linear_op).real
+    return hamfun.from_callable(energy)
+
+
+detection_times = st.one_of(st.floats(0.0, 2.0), st.just(np.inf))
+
+
+@st.composite
+def switched_generators(draw, structured_only=False):
+    dims = draw(st.sampled_from([(2, 2), (2, 3), (3, 2), (2, 2, 2)]))
+    if structured_only:
+        parts = [hamfun.HamiltonianFunction("terms", terms=tuple(
+            hamfun.GeneratorTerm(unit_hermitian(draw(seeds), d), draw(st.integers(0, 2)),
+                                 draw(st.floats(-1.0, 1.0)))
+            for _ in range(draw(st.integers(1, 3))))) for d in dims]
+    else:
+        parts = [draw(factor_parts(d)) for d in dims]
+    times = [draw(detection_times) for _ in dims]
+    h = hamfun.SwitchedHamiltonian(parts, dims, times)
+    return h, random_unitary(draw(seeds), h.dim)[:, 0], draw(st.floats(0.0, 2.5))
+
+
+@FAST
+@given(switched_generators())
+def test_factorwise_apply_matches_composite_matrix(setup):
+    h, psi, t = setup
+    got = h.apply(t, psi)
+    assert np.max(np.abs(got - h.effective_matrix(t, psi) @ psi)) <= 1e-12
+
+
+def state_generator_loop(psi, ops, coefs, powers):
+    """-i M(psi) psi for M = sum_j c_j <O_j>^p_j O_j, one term at a time."""
+    dpsi = np.zeros(psi.size, dtype=complex)
+    for op, c, p in zip(ops, coefs, powers):
+        w = op @ psi
+        if p != 0:
+            c = c * (np.conj(psi) * w).sum().real ** p
+        dpsi += c * w
+    return -1j * dpsi
+
+
+@FAST
+@given(switched_generators(structured_only=True))
+def test_stacked_structured_rhs_matches_term_loop(setup):
+    h, psi, t = setup
+    ops, coefs, powers, tsw = h.structured()
+    on = t < tsw
+    ref = state_generator_loop(psi, ops[on], coefs[on], powers[on])
+    assert np.max(np.abs(dynamics._state_rhs(h, t)(psi) - ref)) <= 1e-14
+
+
+def fd_gradient_loop(energy, rho, step):
+    """The central-difference gradient as a loop that builds every direction on each call."""
+    d = rho.shape[0]
+    g = np.zeros((d, d), dtype=complex)
+    for i in range(d):
+        e = np.zeros((d, d), dtype=complex)
+        e[i, i] = 1.0
+        g[i, i] = (energy(rho + step * e) - energy(rho - step * e)) / (2 * step)
+    for i in range(d):
+        for j in range(i + 1, d):
+            ex = np.zeros((d, d), dtype=complex)
+            ex[i, j] = 1.0
+            ex[j, i] = 1.0
+            dx = (energy(rho + step * ex) - energy(rho - step * ex)) / (2 * step)
+            ey = np.zeros((d, d), dtype=complex)
+            ey[i, j] = 1j
+            ey[j, i] = -1j
+            dy = (energy(rho + step * ey) - energy(rho - step * ey)) / (2 * step)
+            g[i, j] = (dx + 1j * dy) / 2
+            g[j, i] = (dx - 1j * dy) / 2
+    return g
+
+
+def bits(a):
+    return np.asarray(a, dtype=complex).view(np.uint64)
+
+
+@SETTINGS
+@given(st.integers(1, 4), seeds, st.floats(-3.0, 3.0), st.floats(-7.0, -3.0))
+def test_fd_gradient_matches_direction_loop_bit_for_bit(d, seed, coef, log_step):
+    rng = np.random.default_rng(seed)
+    rho = from_spectrum(seed, rng.uniform(0.0, 1.0, d))
+    op = unit_hermitian(seed + 1, d)
+    step = 10.0 ** log_step
+
+    def recorder(calls):
+        def energy(r):
+            calls.append(r.copy())
+            return float(coef * np.trace(r @ op).real ** 3 + np.trace(r @ r).real)
+        return energy
+
+    got_calls, ref_calls = [], []
+    got = hamfun._fd_gradient(recorder(got_calls), rho, step)
+    ref = fd_gradient_loop(recorder(ref_calls), rho, step)
+    assert np.array_equal(bits(got), bits(ref))
+    # the same 2 d^2 perturbed matrices, in the same order
+    assert len(got_calls) == len(ref_calls) == 2 * d * d
+    assert all(np.array_equal(bits(a), bits(b)) for a, b in zip(got_calls, ref_calls))
+
+
+def off_grid_times(draw, dt, n):
+    # a switch strictly inside a step, or never
+    return [draw(st.one_of(st.just(np.inf), st.builds(
+        lambda k, u: (k + u) * dt, st.integers(0, n - 1), st.floats(0.05, 0.95))))
+        for _ in range(2)]
+
+
+@FAST
+@given(st.data(), st.floats(-5.0, 5.0), st.floats(-5.0, 5.0), seeds, seeds)
+def test_structured_and_generic_paths_give_one_trajectory(data, a, b, seed_op, seed_psi):
+    dt, n = 0.01, 40
+    sched = hamfun.SwitchingSchedule(tuple(off_grid_times(data.draw, dt, n)), (2, 2))
+    ops = (qstate.sigma_z, unit_hermitian(seed_op, 2))
+    catalogue_pair = [hamfun.quadratic_average(op, c) for op, c in zip(ops, (a, b))]
+    wrapped_pair = [hamfun.from_callable(quadratic_energy(c, op), gradient=quadratic_gradient(c, op))
+                    for op, c in zip(ops, (a, b))]
+    psi0 = pair_state(seed_psi)
+    structured = hamfun.polchinski_extend(catalogue_pair, (2, 2), sched)
+    generic = hamfun.polchinski_extend(wrapped_pair, (2, 2), sched)
+    assert structured.structured() is not None and generic.structured() is None
+    ref = dynamics.integrate(structured, psi0, n * dt, dt)
+    got = dynamics.integrate(generic, psi0, n * dt, dt)
+    assert np.max(np.abs(got.states - ref.states)) <= 1e-12
