@@ -11,10 +11,11 @@ history-check   unitary-filter vs projected history equivalence
 qvn             q-deformed von Neumann integration (CSV)
 
 Configuration is a flat ``key = value`` text file (``#`` comments) passed via
-``--config``; any command-line flag overrides the file entry of the same
-name. CSV files begin with ``#``-prefixed metadata lines (config echo,
+``--config``; flag ``--foo-bar`` sets key ``foo_bar`` and overrides its file
+entry. CSV files begin with ``#``-prefixed metadata lines (config echo,
 integrator, code version) and are byte-deterministic for a fixed
-configuration and backend. Files are written atomically (temp file, rename).
+configuration and backend; a state preset echoes its name. Files are written
+atomically (temp file, rename).
 
 Exit codes: 0 success, 1 configuration error, 2 numerical failure.
 """
@@ -27,10 +28,11 @@ import math
 import os
 import sys
 import tempfile
+from typing import NamedTuple
 
 import numpy as np
 
-from . import entropy, hamfun, protocols, qstate
+from . import entropy, protocols, qstate
 from ._version import __version__
 from .dynamics import NumericalError, integrate_qvn
 from .hamfun import catalogue_entry
@@ -56,23 +58,30 @@ class _Parser(argparse.ArgumentParser):
 # value converters (all flags arrive as strings; config files too)
 
 
-def _float(raw: str) -> float:
+def _number(raw: str) -> float:
     try:
         return float(raw)
     except ValueError as exc:
         raise ConfigError(f"expected a number, got {raw!r}") from exc
 
 
+def _float(raw: str) -> float:
+    val = _number(raw)
+    if not math.isfinite(val):
+        raise ConfigError(f"expected a finite number, got {raw!r}")
+    return val
+
+
 def _positive_float(raw: str) -> float:
     val = _float(raw)
-    if val <= 0 or not math.isfinite(val):
+    if val <= 0:
         raise ConfigError(f"expected a positive finite number, got {raw!r}")
     return val
 
 
 def _time(raw: str) -> float:
-    val = _float(raw)
-    if math.isnan(val) or val < 0:
+    val = _number(raw)
+    if not val >= 0:
         raise ConfigError(f"expected a time >= 0 (or inf), got {raw!r}")
     return val
 
@@ -85,7 +94,7 @@ def _int(raw: str) -> int:
 
 
 def _bool(raw: str) -> bool:
-    low = str(raw).strip().lower()
+    low = raw.strip().lower()
     if low in ("1", "true", "yes", "on"):
         return True
     if low in ("0", "false", "no", "off"):
@@ -102,15 +111,30 @@ def _choice(options):
     return conv
 
 
-def _state(raw):
+def _list(conv):
+    def convert(raw: str) -> tuple:
+        return tuple(conv(tok) for tok in raw.split(","))
+
+    return convert
+
+
+_floats = _list(_float)
+
+
+class _State(NamedTuple):
+    """A converted ``state`` value: the amplitudes and the preset they came from."""
+
+    psi: np.ndarray
+    preset: str | None
+
+
+def _state(raw: str) -> _State:
     """Named preset or comma-separated complex amplitudes (normalized to 1e-9)."""
-    if isinstance(raw, np.ndarray):
-        return raw
-    name = str(raw).strip()
+    name = raw.strip()
     if name == "singlet":
-        return qstate.singlet_state()
+        return _State(qstate.singlet_state(), name)
     if name == "tilted-pair":
-        return qstate.tilted_pair_state()
+        return _State(qstate.tilted_pair_state(), name)
     try:
         amps = np.array([complex(tok) for tok in name.split(",")], dtype=complex)
     except ValueError as exc:
@@ -118,44 +142,29 @@ def _state(raw):
             f"state must be one of {STATE_PRESETS} or comma-separated amplitudes, got {raw!r}"
         ) from exc
     norm = np.linalg.norm(amps)
-    if abs(norm - 1.0) > 1e-9:
+    if not abs(norm - 1.0) <= 1e-9:
         raise ConfigError(f"state amplitudes have norm {norm!r}, expected 1 within 1e-9")
-    return amps / norm
+    return _State(amps / norm, None)
 
 
 _AXES = {"x": (1.0, 0.0, 0.0), "y": (0.0, 1.0, 0.0), "z": (0.0, 0.0, 1.0),
          "-x": (-1.0, 0.0, 0.0), "-y": (0.0, -1.0, 0.0), "-z": (0.0, 0.0, -1.0)}
 
 
-def _direction(raw) -> np.ndarray:
-    if isinstance(raw, np.ndarray):
-        return raw
-    name = str(raw).strip().lower()
+def _direction(raw: str) -> np.ndarray:
+    name = raw.strip().lower()
     if name in _AXES:
         return np.array(_AXES[name])
-    try:
-        vec = np.array([float(tok) for tok in name.split(",")], dtype=float)
-    except ValueError as exc:
-        raise ConfigError(f"direction must be x/y/z or three components, got {raw!r}") from exc
-    if vec.shape != (3,) or np.linalg.norm(vec) == 0:
-        raise ConfigError(f"direction must be a nonzero 3-vector, got {raw!r}")
-    return vec / np.linalg.norm(vec)
+    vec = np.array(_floats(name))
+    norm = np.linalg.norm(vec)
+    if vec.shape != (3,) or norm == 0:
+        raise ConfigError(f"direction must be x/y/z or a nonzero 3-vector, got {raw!r}")
+    return vec / norm
 
 
-def _float_list(raw) -> tuple[float, ...]:
-    if isinstance(raw, tuple):
-        return raw
-    try:
-        return tuple(float(tok) for tok in str(raw).split(","))
-    except ValueError as exc:
-        raise ConfigError(f"expected comma-separated numbers, got {raw!r}") from exc
-
-
-def _range(raw) -> tuple[float, ...]:
+def _range(raw: str) -> tuple[float, ...]:
     """start:stop:step, inclusive of stop up to rounding."""
-    if isinstance(raw, tuple):
-        return raw
-    parts = str(raw).split(":")
+    parts = raw.split(":")
     if len(parts) != 3:
         raise ConfigError(f"expected start:stop:step, got {raw!r}")
     start, stop, step = (_float(p) for p in parts)
@@ -165,17 +174,17 @@ def _range(raw) -> tuple[float, ...]:
     return tuple(start + k * step for k in range(n + 1))
 
 
-def _dist(raw) -> np.ndarray:
-    if isinstance(raw, np.ndarray):
-        return raw
-    vals = np.array(_float_list(raw), dtype=float)
+def _dist(raw: str) -> np.ndarray:
+    vals = np.array(_floats(raw))
     if np.any(vals < 0) or abs(vals.sum() - 1.0) > 1e-9:
         raise ConfigError("distribution entries must be >= 0 and sum to 1 within 1e-9")
     return vals / vals.sum()
 
 
-def _str(raw) -> str:
-    return str(raw)
+def _path(raw: str) -> str:
+    if not raw:
+        raise ConfigError("expected a non-empty output path")
+    return raw
 
 
 # ---------------------------------------------------------------------------
@@ -200,25 +209,20 @@ def _parse_config_file(path: str) -> dict[str, str]:
 
 
 def _build_config(args, spec: dict) -> dict:
-    """Merge builtin defaults, config-file entries and CLI overrides."""
-    file_vals = _parse_config_file(args.config) if getattr(args, "config", None) else {}
+    """Convert each key's flag, else its config-file entry, else its default, once."""
+    file_vals = _parse_config_file(args.config) if args.config else {}
     unknown = set(file_vals) - set(spec)
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
     cfg = {}
     for key, (default, conv) in spec.items():
-        raw = getattr(args, key, None)
+        raw = getattr(args, key)
         if raw is None:
-            raw = file_vals.get(key)
-        if raw is None:
-            cfg[key] = default
-        else:
-            try:
-                cfg[key] = conv(raw)
-            except ConfigError:
-                raise
-            except ValueError as exc:
-                raise ConfigError(f"bad value for {key}: {raw!r} ({exc})") from exc
+            raw = file_vals.get(key, default)
+        try:
+            cfg[key] = conv(raw)
+        except ValueError as exc:
+            raise ConfigError(f"bad value for {key}: {raw!r} ({exc})") from exc
     return cfg
 
 
@@ -235,9 +239,9 @@ def _fmt(x) -> str:
 
 
 def _echo(value) -> str:
-    if isinstance(value, np.ndarray):
-        return ",".join(_fmt(v) for v in value)
-    if isinstance(value, tuple):
+    if isinstance(value, _State):
+        value = value.preset or value.psi
+    if isinstance(value, (np.ndarray, tuple)):
         return ",".join(_fmt(v) for v in value)
     return _fmt(value)
 
@@ -265,38 +269,15 @@ def write_csv(path: str, header: list[str], rows, meta: dict) -> None:
 # experiments
 
 
-def _figure_spec() -> dict:
-    return {
-        "state": ("tilted-pair", _state),
-        "A": (8.0, _float),
-        "B": (0.5, _float),
-        "t1": (3.5, _time),
-        "t2": (8.0, _time),
-        "t_end": (10.0, _positive_float),
-        "dt": (0.01, _positive_float),
-        "direction_a": ("x", _direction),
-        "direction_b": ("x", _direction),
-        "linear_mode": (False, _bool),
-        "out": (None, _str),
-    }
-
-
-def _resolve_figure_cfg(cfg: dict) -> dict:
-    cfg = dict(cfg)
-    if isinstance(cfg["state"], str):
-        cfg["state_name"], cfg["state"] = cfg["state"], _state(cfg["state"])
-    else:
-        cfg["state_name"] = "custom"
-    cfg["direction_a"] = _direction(cfg["direction_a"])
-    cfg["direction_b"] = _direction(cfg["direction_b"])
+def _figure_grid(cfg: dict) -> np.ndarray:
+    """The sample times on [0, t_end], after checking that both detections fit."""
     for tk in ("t1", "t2"):
         if math.isfinite(cfg[tk]) and cfg[tk] > cfg["t_end"]:
             raise ConfigError(f"t_end must be >= {tk} when {tk} is finite")
     n = int(round(cfg["t_end"] / cfg["dt"]))
     if n < 1 or abs(n * cfg["dt"] - cfg["t_end"]) > 1e-9:
         raise ConfigError("t_end must be a positive integer multiple of dt")
-    cfg["n_samples"] = n
-    return cfg
+    return np.arange(n + 1) * cfg["dt"]
 
 
 def _figure_hamiltonians(cfg: dict):
@@ -313,22 +294,12 @@ def _figure_observables() -> dict[str, np.ndarray]:
     }
 
 
-def _figure_meta(cfg: dict, experiment: str, integrator: str) -> dict:
-    return {
-        "experiment": experiment,
-        "integrator": integrator,
-        "version": __version__,
-        "state": cfg["state_name"] if cfg["state_name"] != "custom" else _echo(cfg["state"]),
-        "A": cfg["A"],
-        "B": cfg["B"],
-        "t1": cfg["t1"],
-        "t2": cfg["t2"],
-        "t_end": cfg["t_end"],
-        "dt": cfg["dt"],
-        "direction_a": cfg["direction_a"],
-        "direction_b": cfg["direction_b"],
-        "linear_mode": cfg["linear_mode"],
-    }
+def _write_result(cfg: dict, experiment: str, integrator: str, header: list[str], rows) -> None:
+    """Write the CSV to ``cfg["out"]``; its metadata echoes the converted config."""
+    meta = {key: val for key, val in cfg.items() if key != "out"}
+    meta.update(experiment=experiment, integrator=integrator, version=__version__)
+    write_csv(cfg["out"], header, rows, meta)
+    print(f"{experiment}: wrote {cfg['out']}")
 
 
 def _print_outcome_table(table: protocols.MeasurementOutcomeTable) -> None:
@@ -342,42 +313,37 @@ def _print_outcome_table(table: protocols.MeasurementOutcomeTable) -> None:
 
 
 def run_figure(cfg: dict, protocol: str) -> int:
-    cfg = _resolve_figure_cfg(cfg)
+    grid = _figure_grid(cfg)
+    psi0, t1, t2 = cfg["state"].psi, cfg["t1"], cfg["t2"]
     h1, h2 = _figure_hamiltonians(cfg)
-    grid = np.arange(cfg["n_samples"] + 1) * cfg["dt"]
     traj = protocols.ensemble_average_trajectory(
-        protocol, cfg["state"], h1, h2, cfg["t1"], cfg["t2"],
+        protocol, psi0, h1, h2, t1, t2,
         _figure_observables(), grid, direction_a=cfg["direction_a"],
     )
-    name = "figure2" if protocol == "switching" else "figure3"
-    out = cfg["out"] or f"{name}.csv"
     rows = zip(grid, traj.column("exp_xx"), traj.column("exp_x1"), traj.column("exp_1x"))
-    write_csv(out, ["t", "exp_xx", "exp_x1", "exp_1x"], rows,
-              _figure_meta(cfg, name, traj.metadata["integrator"]))
-    print(f"{name}: wrote {out}")
-    if not (math.isfinite(cfg["t1"]) and math.isfinite(cfg["t2"])):
+    _write_result(cfg, "figure2" if protocol == "switching" else "figure3",
+                  traj.metadata["integrator"], ["t", "exp_xx", "exp_x1", "exp_1x"], rows)
+    if not (math.isfinite(t1) and math.isfinite(t2)):
         print("no joint outcome table: at least one particle is never detected")
         return 0
-    ta, tb = min(cfg["t1"], cfg["t2"]), max(cfg["t1"], cfg["t2"])
     if protocol == "switching":
         table = protocols.switching_correlator(
-            cfg["state"], h1, h2, ta, tb,
+            psi0, h1, h2, t1, t2,
             qstate.pauli_vector(cfg["direction_a"]), qstate.pauli_vector(cfg["direction_b"]),
             (cfg["direction_a"], cfg["direction_b"]),
         )
     else:
         table = protocols.zeno_correlator(
-            cfg["state"], h1, h2, ta, tb, cfg["direction_a"], cfg["direction_b"],
+            psi0, h1, h2, t1, t2, cfg["direction_a"], cfg["direction_b"],
         )
     _print_outcome_table(table)
     return 0
 
 
 def run_entropy_sweep(cfg: dict) -> int:
-    dist = _dist(cfg["dist"])
-    orders = cfg["alpha_range"]
+    dist = cfg["dist"]
     rows = []
-    for order in orders:
+    for order in cfg["alpha_range"]:
         at_one = abs(order - 1.0) < 1e-12
         rows.append((
             order,
@@ -385,23 +351,13 @@ def run_entropy_sweep(cfg: dict) -> int:
             entropy.tsallis_entropy(dist, 1.0 if at_one else order, limit=at_one),
             entropy.shannon_entropy(dist, base=2.0),
         ))
-    out = cfg["out"] or "entropy_sweep.csv"
-    meta = {
-        "experiment": "entropy-sweep",
-        "integrator": "closed-form",
-        "version": __version__,
-        "dist": dist,
-        "alpha_range": orders,
-    }
-    write_csv(out, ["order", "renyi", "tsallis", "shannon"], rows, meta)
-    print(f"entropy-sweep: wrote {out}")
+    _write_result(cfg, "entropy-sweep", "closed-form", ["order", "renyi", "tsallis", "shannon"], rows)
     return 0
 
 
 def run_locality_check(cfg: dict) -> int:
-    cfg = _resolve_figure_cfg(cfg)
-    psi0 = cfg["state"]
-    grid = np.arange(cfg["n_samples"] + 1) * cfg["dt"]
+    grid = _figure_grid(cfg)
+    psi0 = cfg["state"].psi
     kind = "linear-z" if cfg["linear_mode"] else "quadratic-z"
     h1 = catalogue_entry(kind, cfg["A"])
     protocol = cfg["protocol"]
@@ -413,21 +369,17 @@ def run_locality_check(cfg: dict) -> int:
 
     b_values = cfg["b_values"]
     t2_values = cfg["t2_values"]
-    worst = 0.0
+    sweep = [(b_coef, t2) for b_coef in b_values for t2 in t2_values]
     if protocol == "switching":
         baseline = series(b_values[0], t2_values[0], keep=1)
-        for b_coef in b_values:
-            for t2 in t2_values:
-                worst = max(worst, np.max(np.abs(series(b_coef, t2, keep=1) - baseline)))
+        devs = [series(b_coef, t2, keep=1) - baseline for b_coef, t2 in sweep]
         quantity = "max deviation of reduced state #1 across the (B, t2) sweep"
     else:
-        for b_coef in b_values:
-            for t2 in t2_values:
-                sw = series(b_coef, t2, keep=2)
-                ze = series(b_coef, t2, keep=2, protocol="zeno")
-                worst = max(worst, np.max(np.abs(ze - sw)))
+        devs = [series(b_coef, t2, keep=2, protocol="zeno") - series(b_coef, t2, keep=2)
+                for b_coef, t2 in sweep]
         quantity = "max response of reduced state #2 to the distant t1 measurement"
-
+    # np.max propagates NaN, and a NaN deviation fails the comparison below
+    worst = float(np.max(np.abs(devs)))
     verdict = "PASS" if worst <= LOCALITY_PASS_TOL else "FAIL"
     print(f"locality-check protocol={protocol}")
     print(f"  {quantity}")
@@ -438,8 +390,8 @@ def run_locality_check(cfg: dict) -> int:
 
 def run_teleport_demo(cfg: dict) -> int:
     report = protocols.teleportation_demo(
-        _state(cfg["state"]), cfg["pairs"], cfg["selection"],
-        _direction(cfg["direction_a"]), keep_alice_outcome=cfg["keep"],
+        cfg["state"].psi, cfg["pairs"], cfg["selection"],
+        cfg["direction_a"], keep_alice_outcome=cfg["keep"],
         coupling=cfg["coupling"], seed=cfg["seed"],
     )
     print(f"teleport-demo selection={report.selection} n_pairs={report.n_pairs} "
@@ -454,7 +406,7 @@ def run_teleport_demo(cfg: dict) -> int:
 def run_history_check(cfg: dict) -> int:
     rng = np.random.default_rng(cfg["seed"])
     dim = cfg["dim"]
-    worst = 0.0
+    devs = []
     for _ in range(cfg["trials"]):
         g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
         gen = (g + g.conj().T) / 2
@@ -473,7 +425,8 @@ def run_history_check(cfg: dict) -> int:
         spec = protocols.HistorySpec(tuple(projs), gen, float(times[-1]) + 0.5)
         pu = protocols.history_probability_unitary(spec, rho0)
         pp = protocols.history_probability_projected(spec, rho0)
-        worst = max(worst, abs(pu - pp))
+        devs.append(abs(pu - pp))
+    worst = float(np.max(devs, initial=0.0))
     verdict = "PASS" if worst <= HISTORY_PASS_TOL else "FAIL"
     print(f"history-check trials={cfg['trials']} max |p_unitary - p_projected| = {worst:.3e} "
           f"threshold = {HISTORY_PASS_TOL:.1e} verdict = {verdict}")
@@ -489,18 +442,8 @@ def run_qvn(cfg: dict) -> int:
     tr1 = np.einsum("tii->t", traj.states).real
     tr2 = np.einsum("tij,tji->t", traj.states, traj.states).real
     rows = zip(traj.times, traj.column("exp_x"), traj.column("exp_z"), tr1, tr2)
-    out = cfg["out"] or "qvn.csv"
-    meta = {
-        "experiment": "qvn",
-        "integrator": traj.metadata["integrator"],
-        "version": __version__,
-        "q": cfg["q"],
-        "coupling": cfg["coupling"],
-        "t_end": cfg["t_end"],
-        "dt": cfg["dt"],
-    }
-    write_csv(out, ["t", "exp_x", "exp_z", "tr_rho", "tr_rho2"], rows, meta)
-    print(f"qvn: wrote {out}")
+    _write_result(cfg, "qvn", traj.metadata["integrator"],
+                  ["t", "exp_x", "exp_z", "tr_rho", "tr_rho2"], rows)
     return 0
 
 
@@ -508,105 +451,101 @@ def run_qvn(cfg: dict) -> int:
 # argument parsing
 
 
-def _add_common(sub, *names):
-    sub.add_argument("--config", help="flat key = value config file")
-    flags = {
-        "out": ("--out", "output CSV path"),
-        "state": ("--state", f"state preset {STATE_PRESETS} or comma-separated amplitudes"),
-        "A": ("--A", "first-particle coefficient"),
-        "B": ("--B", "second-particle coefficient"),
-        "t1": ("--t1", "detection time of particle #1 (inf = never)"),
-        "t2": ("--t2", "detection time of particle #2 (inf = never)"),
-        "t_end": ("--t-end", "final sampled time"),
-        "dt": ("--dt", "sample spacing / integration step"),
-        "direction_a": ("--direction-a", "measurement axis for particle #1 (x, y, z or ax,ay,az)"),
-        "direction_b": ("--direction-b", "measurement axis for particle #2"),
-        "linear_mode": ("--linear-mode", "replace the quadratic energies by bilinear ones (0/1)"),
-        "q": ("--q", "deformation exponent"),
-        "alpha_range": ("--alpha-range", "order sweep start:stop:step"),
-        "dist": ("--dist", "comma-separated probabilities"),
-        "protocol": ("--protocol", "switching or zeno"),
-        "b_values": ("--b-values", "swept second-particle coefficients"),
-        "t2_values": ("--t2-values", "swept second detection times"),
-        "pairs": ("--pairs", "ensemble size"),
-        "selection": ("--selection", "pre or post"),
-        "keep": ("--keep", "Alice outcome that keeps a pair (+1 or -1)"),
-        "coupling": ("--coupling", "mean-field proportionality constant"),
-        "seed": ("--seed", "RNG seed"),
-        "trials": ("--trials", "number of random cases"),
-        "dim": ("--dim", "Hilbert-space dimension"),
-    }
-    for name in names:
-        flag, help_text = flags[name]
-        sub.add_argument(flag, dest=name, help=help_text)
+_HELP = {
+    "out": "output CSV path",
+    "state": f"state preset {STATE_PRESETS} or comma-separated amplitudes",
+    "A": "first-particle coefficient",
+    "B": "second-particle coefficient",
+    "t1": "detection time of particle #1 (inf = never)",
+    "t2": "detection time of particle #2 (inf = never)",
+    "t_end": "final sampled time",
+    "dt": "sample spacing / integration step",
+    "direction_a": "measurement axis for particle #1 (x, y, z or ax,ay,az)",
+    "direction_b": "measurement axis for particle #2",
+    "linear_mode": "replace the quadratic energies by bilinear ones (0/1)",
+    "q": "deformation exponent",
+    "alpha_range": "order sweep start:stop:step",
+    "dist": "comma-separated probabilities",
+    "protocol": "switching or zeno",
+    "b_values": "swept second-particle coefficients",
+    "t2_values": "swept second detection times",
+    "pairs": "ensemble size",
+    "selection": "pre or post",
+    "keep": "Alice outcome that keeps a pair (+1 or -1)",
+    "coupling": "mean-field proportionality constant",
+    "seed": "RNG seed",
+    "trials": "number of random cases",
+    "dim": "Hilbert-space dimension",
+}
+
+_FIGURE_SPEC = {
+    "state": ("tilted-pair", _state),
+    "A": ("8", _float),
+    "B": ("0.5", _float),
+    "t1": ("3.5", _time),
+    "t2": ("8", _time),
+    "t_end": ("10", _positive_float),
+    "dt": ("0.01", _positive_float),
+    "direction_a": ("x", _direction),
+    "direction_b": ("x", _direction),
+    "linear_mode": ("0", _bool),
+}
+
+# subcommand -> (help, spec, runner). A spec maps each config key, in flag
+# order, to its raw default and its converter; key ``foo_bar`` is flag
+# ``--foo-bar``, and the runner receives the converted config.
+COMMANDS = {
+    "figure2": ("switching-protocol trajectories",
+                {"out": ("figure2.csv", _path), **_FIGURE_SPEC},
+                functools.partial(run_figure, protocol="switching")),
+    "figure3": ("Zeno-protocol branch-mixture trajectories",
+                {"out": ("figure3.csv", _path), **_FIGURE_SPEC},
+                functools.partial(run_figure, protocol="zeno")),
+    "entropy-sweep": ("generalized-entropy table", {
+        "out": ("entropy_sweep.csv", _path),
+        "alpha_range": ("0.25:2.0:0.25", _range),
+        "dist": ("0.25,0.25,0.25,0.25", _dist),
+    }, run_entropy_sweep),
+    "locality-check": ("reduced-state invariance sweep", {
+        **_FIGURE_SPEC,
+        "dt": ("0.05", _positive_float),
+        "protocol": ("switching", _choice(("switching", "zeno"))),
+        "b_values": ("0,0.5,5", _floats),
+        "t2_values": ("5,8,20", _list(_time)),
+    }, run_locality_check),
+    "teleport-demo": ("pre/post-selection mean-field comparison", {
+        "state": ("singlet", _state),
+        "pairs": ("10000", _int),
+        "selection": ("pre", _choice(("pre", "post"))),
+        "direction_a": ("z", _direction),
+        "keep": ("-1", _int),
+        "coupling": ("1", _float),
+        "seed": ("1234", _int),
+    }, run_teleport_demo),
+    "history-check": ("two-route history equivalence", {
+        "trials": ("100", _int),
+        "seed": ("7", _int),
+        "dim": ("2", _int),
+    }, run_history_check),
+    "qvn": ("q-deformed von Neumann integration", {
+        "out": ("qvn.csv", _path),
+        "q": ("1", _positive_float),
+        "t_end": ("10", _positive_float),
+        "dt": ("0.001", _positive_float),
+        "coupling": ("1", _float),
+    }, run_qvn),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="nlqcorr", description=__doc__.split("\n\n")[0])
     parser.add_argument("--version", action="version", version=f"nlqcorr {__version__}")
     subs = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
-
-    fig_keys = ("out", "state", "A", "B", "t1", "t2", "t_end", "dt",
-                "direction_a", "direction_b", "linear_mode")
-    p = subs.add_parser("figure2", help="switching-protocol trajectories")
-    _add_common(p, *fig_keys)
-    p.set_defaults(runner=lambda a: run_figure(_build_config(a, _figure_spec()), "switching"))
-
-    p = subs.add_parser("figure3", help="Zeno-protocol branch-mixture trajectories")
-    _add_common(p, *fig_keys)
-    p.set_defaults(runner=lambda a: run_figure(_build_config(a, _figure_spec()), "zeno"))
-
-    p = subs.add_parser("entropy-sweep", help="generalized-entropy table")
-    _add_common(p, "out", "alpha_range", "dist")
-    spec_e = {
-        "alpha_range": (_range("0.25:2.0:0.25"), _range),
-        "dist": (np.full(4, 0.25), _dist),
-        "out": (None, _str),
-    }
-    p.set_defaults(runner=lambda a: run_entropy_sweep(_build_config(a, spec_e)))
-
-    p = subs.add_parser("locality-check", help="reduced-state invariance sweep")
-    _add_common(p, "state", "A", "B", "t1", "t2", "t_end", "dt",
-                "direction_a", "direction_b", "linear_mode", "protocol",
-                "b_values", "t2_values")
-    spec_l = dict(_figure_spec())
-    spec_l.update({
-        "dt": (0.05, _positive_float),
-        "protocol": ("switching", _choice(("switching", "zeno"))),
-        "b_values": ((0.0, 0.5, 5.0), _float_list),
-        "t2_values": ((5.0, 8.0, 20.0), _float_list),
-    })
-    p.set_defaults(runner=lambda a: run_locality_check(_build_config(a, spec_l)))
-
-    p = subs.add_parser("teleport-demo", help="pre/post-selection mean-field comparison")
-    _add_common(p, "state", "pairs", "selection", "direction_a", "keep", "coupling", "seed")
-    spec_t = {
-        "state": ("singlet", _str),
-        "pairs": (10000, _int),
-        "selection": ("pre", _choice(("pre", "post"))),
-        "direction_a": ("z", _str),
-        "keep": (-1, _int),
-        "coupling": (1.0, _float),
-        "seed": (1234, _int),
-    }
-    p.set_defaults(runner=lambda a: run_teleport_demo(_build_config(a, spec_t)))
-
-    p = subs.add_parser("history-check", help="two-route history equivalence")
-    _add_common(p, "trials", "seed", "dim")
-    spec_h = {"trials": (100, _int), "seed": (7, _int), "dim": (2, _int)}
-    p.set_defaults(runner=lambda a: run_history_check(_build_config(a, spec_h)))
-
-    p = subs.add_parser("qvn", help="q-deformed von Neumann integration")
-    _add_common(p, "out", "q", "t_end", "dt", "coupling")
-    spec_q = {
-        "q": (1.0, _positive_float),
-        "t_end": (10.0, _positive_float),
-        "dt": (0.001, _positive_float),
-        "coupling": (1.0, _float),
-        "out": (None, _str),
-    }
-    p.set_defaults(runner=lambda a: run_qvn(_build_config(a, spec_q)))
-
+    for name, (help_text, spec, _) in COMMANDS.items():
+        sub = subs.add_parser(name, help=help_text)
+        sub.add_argument("--config", help="flat key = value config file")
+        for key in spec:
+            sub.add_argument("--" + key.replace("_", "-"), help=_HELP[key])
     return parser
 
 
@@ -621,8 +560,9 @@ def main(argv=None) -> int:
         args = _parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 1
+    _, spec, runner = COMMANDS[args.command]
     try:
-        return args.runner(args)
+        return runner(_build_config(args, spec))
     except (ConfigError, ValueError) as exc:
         print(f"nlqcorr: config error: {exc}", file=sys.stderr)
         return 1

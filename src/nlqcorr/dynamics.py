@@ -4,8 +4,8 @@
 4th-order steps on a uniform grid, splitting any step that straddles a
 switching time so the discontinuous generator is never sampled across a
 switch (the active term set is frozen per sub-interval at its midpoint).
-One RK4 step (``_rk4``) serves every state and unitary flow here except the
-q-deformed one, whose stages carry their own domain checks. Per segment the
+One RK4 step (``_rk4``) serves every flow here; the q-deformed right-hand
+side raises as soon as a stage leaves that flow's domain. Per segment the
 right-hand side is either the stacked product of all active generator terms
 c <O>^p O, or, for any other generator, each factor's gradient applied to its
 own axis of psi (``SwitchedHamiltonian.apply``); the composite matrix is
@@ -341,40 +341,29 @@ def switched_pair_state(psi0, h1: HamiltonianFunction, h2: HamiltonianFunction,
 # q-deformed von Neumann flow
 
 
-def _qvn_rhs(x, hmat, q: float, qint: int) -> tuple[np.ndarray, float]:
-    """-i [H, x**q] and the smallest eigenvalue of ``x`` (0.0 for integer powers)."""
+class _LeftDomain(Exception):
+    """A q-deformed RK4 stage left the flow's domain; ``minw`` is its smallest eigenvalue."""
+
+    def __init__(self, minw: float):
+        super().__init__(minw)
+        self.minw = minw
+
+
+def _qvn_rhs(x, hmat, q: float, qint: int) -> np.ndarray:
+    """-i [H, x**q].
+
+    Raises :class:`_LeftDomain` when a non-integer power meets an eigenvalue
+    below ``QVN_NEG_TOL``, or NaN for a non-finite stage.
+    """
     if qint > 0:
         xq = x
         for _ in range(qint - 1):
             xq = xq @ x
-        minw = 0.0
     else:
         xq, minw = qstate.herm_power(x, q, QVN_EIG_FLOOR)
-    return -1j * (hmat @ xq - xq @ hmat), minw
-
-
-def _qvn_step(r, hmat, q: float, qint: int, dt: float) -> tuple[np.ndarray | None, float]:
-    """One RK4 step of i dr/dt = [H, r**q].
-
-    Returns ``(None, minw)`` as soon as a stage leaves the flow's domain: an
-    eigenvalue below ``QVN_NEG_TOL``, or NaN for a non-finite stage or result.
-    """
-    d1, minw = _qvn_rhs(r, hmat, q, qint)
-    if not minw >= QVN_NEG_TOL:
-        return None, minw
-    d2, minw = _qvn_rhs(r + (0.5 * dt) * d1, hmat, q, qint)
-    if not minw >= QVN_NEG_TOL:
-        return None, minw
-    d3, minw = _qvn_rhs(r + (0.5 * dt) * d2, hmat, q, qint)
-    if not minw >= QVN_NEG_TOL:
-        return None, minw
-    d4, minw = _qvn_rhs(r + dt * d3, hmat, q, qint)
-    if not minw >= QVN_NEG_TOL:
-        return None, minw
-    out = r + (dt / 6.0) * (d1 + 2.0 * d2 + 2.0 * d3 + d4)
-    if not np.isfinite(out).all():
-        return None, math.nan
-    return out, minw
+        if not minw >= QVN_NEG_TOL:
+            raise _LeftDomain(minw)
+    return -1j * (hmat @ xq - xq @ hmat)
 
 
 def integrate_qvn(hmat, rho0, q: float, t_end: float, dt: float,
@@ -417,21 +406,28 @@ def integrate_qvn(hmat, rho0, q: float, t_end: float, dt: float,
     rhos = np.empty((n + 1, d, d), dtype=complex)
     rhos[0] = rho0
     r = rho0
-    # overflow inside a step surfaces as a non-finite stage, caught by _qvn_step
+    hc = coupling * hmat
+
+    def f(x):
+        return _qvn_rhs(x, hc, q, qint)
+
+    # overflow inside a step surfaces as a non-finite stage or result, caught below
     with np.errstate(over="ignore", invalid="ignore"):
-        hc = coupling * hmat
         for k in range(n):
-            r, minw = _qvn_step(r, hc, q, qint, dt)
-            if r is None:
-                if math.isnan(minw):
+            try:
+                r = _rk4(f, r, dt)
+                if not np.isfinite(r).all():
+                    raise _LeftDomain(math.nan)
+            except _LeftDomain as exc:
+                if math.isnan(exc.minw):
                     raise NumericalError(
                         f"density matrix became non-finite at t = {times[k]:#.6g} "
                         f"with q = {q:g}, coupling = {coupling:g}; reduce dt"
-                    )
+                    ) from None
                 raise NumericalError(
                     f"negative eigenvalue below {QVN_NEG_TOL:.1e} at t = {times[k]:#.6g} "
                     f"with non-integer q = {q:g}; reduce dt"
-                )
+                ) from None
             rhos[k + 1] = r
     values = {
         name: np.einsum("tij,ji->t", rhos, op).real for name, op in obs.items()

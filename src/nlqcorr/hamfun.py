@@ -158,7 +158,10 @@ class HamiltonianFunction:
                 g = g + term.coef * ev ** term.power * term.operator
             return g
         if self._gradient is not None:
-            return qstate.check_hermitian(self._gradient(rho), tol=1e-10, name="supplied gradient")
+            g = np.asarray(self._gradient(rho), dtype=complex)
+            if not np.isfinite(g).all():
+                raise NonFiniteGradient("supplied gradient produced non-finite entries")
+            return qstate.check_hermitian(g, tol=1e-10, name="supplied gradient")
         return _fd_gradient(self.energy, rho, self.fd_step)
 
     def __repr__(self):
@@ -166,7 +169,7 @@ class HamiltonianFunction:
 
 
 class NonFiniteGradient(ValueError):
-    """A finite-difference gradient came out with non-finite entries.
+    """A supplied or finite-difference gradient came out with non-finite entries.
 
     ``dynamics.integrate`` reads it as a blown-up stage and reports the
     failing sample as a ``NumericalError``.

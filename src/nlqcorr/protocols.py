@@ -182,12 +182,13 @@ def switching_correlator(psi0, h1: HamiltonianFunction, h2: HamiltonianFunction,
     """Joint outcome table of the switching protocol.
 
     Evolves to the frozen state (each factor switched off at its own
-    detection time), reads p(s, s') = <E_s (x) E_s'> there, and the
-    correlator from <X (x) Y>. ``directions`` is the pair of measurement
-    axes; ``obs_x``/``obs_y`` are the single-particle observables (unit
-    spins along those axes for a consistent table).
+    detection time; the two times may come in either order), reads
+    p(s, s') = <E_s (x) E_s'> there, and the correlator from <X (x) Y>.
+    ``directions`` is the pair of measurement axes; ``obs_x``/``obs_y`` are
+    the single-particle observables (unit spins along those axes for a
+    consistent table).
     """
-    _validate_protocol_times(t1, t2)
+    _validate_protocol_times(t1, t2, ordered=False)
     if not (math.isfinite(t1) and math.isfinite(t2)):
         raise ValueError("outcome tables need finite detection times on both particles")
     obs_x = qstate.check_hermitian(obs_x, name="obs_x")

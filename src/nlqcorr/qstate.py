@@ -54,8 +54,10 @@ def check_square(m, name: str = "matrix") -> np.ndarray:
 
 def check_hermitian(m, tol: float = HERMITIAN_TOL, name: str = "matrix") -> np.ndarray:
     a = check_square(m, name)
-    dev = np.max(np.abs(a - a.conj().T))
-    if dev > tol:
+    if not np.isfinite(a).all():
+        raise ValueError(f"{name} has non-finite entries")
+    dev = np.abs(a - a.conj().T).max()
+    if not dev <= tol:
         raise ValueError(f"{name} is not Hermitian: max |M - M^dag| = {dev:.3e} > {tol:.1e}")
     return a
 
@@ -65,7 +67,7 @@ def check_state(psi, tol: float = STATE_NORM_TOL) -> np.ndarray:
     if v.ndim != 1 or v.size < 1:
         raise ValueError(f"state must be a 1-d amplitude vector, got shape {v.shape}")
     norm = np.linalg.norm(v)
-    if abs(norm - 1.0) > tol:
+    if not abs(norm - 1.0) <= tol:
         raise ValueError(f"state norm {norm!r} deviates from 1 by more than {tol:.1e}")
     return v
 
@@ -74,10 +76,10 @@ def check_density_matrix(rho, tol: float = HERMITIAN_TOL) -> np.ndarray:
     """Validate Hermiticity, unit trace and spectrum of a density matrix."""
     a = check_hermitian(rho, tol, name="density matrix")
     tr = np.trace(a)
-    if abs(tr - 1.0) > tol:
+    if not abs(tr - 1.0) <= tol:
         raise ValueError(f"density matrix trace {tr!r} deviates from 1 by more than {tol:.1e}")
     w, _ = eigh(a)
-    if w[0] < DENSITY_EIG_FLOOR:
+    if not w[0] >= DENSITY_EIG_FLOOR:
         raise ValueError(f"density matrix has negative eigenvalue {w[0]:.3e}")
     return a
 
@@ -217,7 +219,7 @@ def projector(direction) -> tuple[np.ndarray, np.ndarray]:
     """Spin projectors (E+, E-) = (I +- a.sigma)/2 along a unit 3-vector a."""
     a = np.asarray(direction, dtype=float)
     norm = np.linalg.norm(a)
-    if abs(norm - 1.0) > UNIT_DIRECTION_TOL:
+    if not abs(norm - 1.0) <= UNIT_DIRECTION_TOL:
         raise ValueError(f"direction norm {norm!r} deviates from 1 by more than {UNIT_DIRECTION_TOL:.1e}")
     x = pauli_vector(a)
     eye = identity(2)

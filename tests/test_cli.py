@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -77,6 +78,18 @@ def test_figure2_config_file_and_override(tmp_path):
     bad = tmp_path / "bad.cfg"
     bad.write_text("unknown_key = 1\n")
     assert run(["figure2", "--config", bad, "--out", out]) == 1
+
+
+def test_figure2_table_matches_frozen_csv_in_either_detection_order(tmp_path, capsys):
+    out = tmp_path / "f.csv"
+    for t1, t2 in (("3.5", "8"), ("8", "3.5")):
+        assert run(["figure2", "--t1", t1, "--t2", t2, "--out", out]) == 0
+        corr = float(capsys.readouterr().out.split("correlator =")[1].split()[0])
+        _, cols = read_csv(out)
+        # with direction x on both particles the correlator is <xx> in the frozen final state
+        assert abs(corr - cols["exp_xx"][-1]) <= 1e-10
+    # the Zeno protocol keeps its ordered detections
+    assert run(["figure3", "--t1", "8", "--t2", "3.5", "--out", out]) == 1
 
 
 # --- figure3 ---
@@ -201,6 +214,42 @@ def test_exit_code_config_error(tmp_path):
     assert run(["figure2", "--dt", "-0.1", "--out", tmp_path / "x.csv"]) == 1
     assert run(["figure2", "--state", "not-a-state", "--out", tmp_path / "x.csv"]) == 1
     assert run(["figure2", "--t-end", "5", "--out", tmp_path / "x.csv"]) == 1  # t2 = 8 > t_end
+    assert run(["figure2", "--out", ""]) == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["figure2", "--state", "nan,0,0,0"],
+    ["figure3", "--state", "0.6,inf,0,0.8"],
+    ["locality-check", "--state", "nan,0,0,0"],
+    ["locality-check", "--protocol", "zeno", "--state", "nan,0,0,1"],
+    ["teleport-demo", "--state", "nan,0,0,0"],
+    ["figure2", "--direction-a", "nan,0,1"],
+    ["figure2", "--direction-b", "inf,0,0"],
+    ["entropy-sweep", "--dist", "nan,1"],
+    ["figure2", "--A", "nan"],
+    ["locality-check", "--b-values", "0,inf"],
+    ["locality-check", "--t2-values", "5,nan"],
+    ["teleport-demo", "--coupling", "nan"],
+    ["qvn", "--coupling", "inf"],
+])
+def test_non_finite_input_exits_1_without_output(tmp_path, capsys, argv):
+    out = tmp_path / "x.csv"
+    code = run(argv + (["--out", out] if "out" in cli.COMMANDS[argv[0]][1] else []))
+    assert code == 1
+    assert not out.exists()
+    assert "verdict = PASS" not in capsys.readouterr().out
+
+
+def test_non_finite_deviation_fails_the_check(monkeypatch, capsys):
+    real_series = cli.protocols.reduced_state_series
+    monkeypatch.setattr(cli.protocols, "reduced_state_series",
+                        lambda *args: np.full_like(real_series(*args), np.nan))
+    for protocol in ("switching", "zeno"):
+        assert run(["locality-check", "--protocol", protocol]) == 0
+        assert "verdict = FAIL" in capsys.readouterr().out
+    monkeypatch.setattr(cli.protocols, "history_probability_projected", lambda spec, rho0: np.nan)
+    assert run(["history-check", "--trials", "3"]) == 0
+    assert "verdict = FAIL" in capsys.readouterr().out
 
 
 def test_exit_code_numerical_failure(tmp_path):
@@ -237,3 +286,66 @@ def test_main_calls_in_one_process_match_fresh_runs(tmp_path, capsys):
         if fresh_csv is not None:
             assert (tmp_path / "fig.csv").read_bytes() == fresh_csv
     assert cli._parser() is cli._parser()
+
+
+# --- the subcommand table ---
+
+HELP_FLAGS = {
+    "figure2": ["--config", "--out", "--state", "--A", "--B", "--t1", "--t2", "--t-end", "--dt",
+                "--direction-a", "--direction-b", "--linear-mode"],
+    "figure3": ["--config", "--out", "--state", "--A", "--B", "--t1", "--t2", "--t-end", "--dt",
+                "--direction-a", "--direction-b", "--linear-mode"],
+    "entropy-sweep": ["--config", "--out", "--alpha-range", "--dist"],
+    "locality-check": ["--config", "--state", "--A", "--B", "--t1", "--t2", "--t-end", "--dt",
+                       "--direction-a", "--direction-b", "--linear-mode", "--protocol",
+                       "--b-values", "--t2-values"],
+    "teleport-demo": ["--config", "--state", "--pairs", "--selection", "--direction-a", "--keep",
+                      "--coupling", "--seed"],
+    "history-check": ["--config", "--trials", "--seed", "--dim"],
+    "qvn": ["--config", "--out", "--q", "--t-end", "--dt", "--coupling"],
+}
+
+
+def test_help_lists_the_flags_in_order(capsys):
+    assert list(cli.COMMANDS) == list(HELP_FLAGS)
+    for name, flags in HELP_FLAGS.items():
+        assert run([name, "--help"]) == 0
+        assert re.findall(r"^ +(--[\w-]+)", capsys.readouterr().out, re.M) == flags
+
+
+def test_config_keys_are_exactly_the_flags(tmp_path):
+    every_key = {key for _, spec, _ in cli.COMMANDS.values() for key in spec} | {"config"}
+    cfg = tmp_path / "run.cfg"
+    for name, flags in HELP_FLAGS.items():
+        keys = [flag[2:].replace("-", "_") for flag in flags[1:]]
+        assert list(cli.COMMANDS[name][1]) == keys
+        for key in sorted(every_key - set(keys)):
+            cfg.write_text(f"{key} = 1\n")
+            assert run([name, "--config", cfg]) == 1, (name, key)
+
+
+def run_captured(argv, out_file, capsys):
+    assert run(argv) == 0
+    return capsys.readouterr(), out_file.read_bytes() if out_file else None
+
+
+@pytest.mark.parametrize("name", list(HELP_FLAGS))
+def test_explicit_defaults_reproduce_the_default_run(name, tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    spec = cli.COMMANDS[name][1]
+    out_file = tmp_path / spec["out"][0] if "out" in spec else None
+    baseline = run_captured([name], out_file, capsys)
+    flags = [tok for key, (default, _) in spec.items()
+             for tok in ("--" + key.replace("_", "-"), default)]
+    assert run_captured([name, *flags], out_file, capsys) == baseline
+    cfg = tmp_path / "defaults.cfg"
+    cfg.write_text("".join(f"{key} = {default}\n" for key, (default, _) in spec.items()))
+    assert run_captured([name, "--config", cfg], out_file, capsys) == baseline
+
+
+def test_docs_name_exactly_the_table_subcommands():
+    listed = cli.__doc__.split("-----------\n")[1].split("\n\n")[0].splitlines()
+    assert [line.split()[0] for line in listed] == list(cli.COMMANDS)
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    block = readme.split("## CLI")[1].split("```sh\n")[1].split("```")[0]
+    assert {line.split()[1] for line in block.splitlines()} == set(cli.COMMANDS)

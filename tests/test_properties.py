@@ -466,3 +466,56 @@ def test_structured_and_generic_paths_give_one_trajectory(data, a, b, seed_op, s
     ref = dynamics.integrate(structured, psi0, n * dt, dt)
     got = dynamics.integrate(generic, psi0, n * dt, dt)
     assert np.max(np.abs(got.states - ref.states)) <= 1e-12
+
+
+# --- non-finite inputs ---
+
+non_finite = st.sampled_from([np.nan, np.inf, -np.inf, complex(np.nan, 1.0), complex(0.0, -np.inf)])
+
+
+@FAST
+@given(st.integers(1, 8), seeds, st.integers(0, 63), non_finite)
+def test_non_finite_state_is_rejected(n, seed, pos, bad):
+    psi = random_unitary(seed, n)[:, 0]
+    psi[pos % n] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ValueError):
+            qstate.check_state(psi)
+        with pytest.raises(ValueError):
+            dynamics.integrate(hamfun.linear(qstate.identity(n)), psi, 0.1, 0.01)
+
+
+@FAST
+@given(spectra(max_dim=6, low=0.1, high=1.0, zeros=False), seeds, st.integers(0, 63),
+       st.integers(0, 63), non_finite)
+def test_non_finite_matrix_is_rejected(w, seed, i, j, bad):
+    n = len(w)
+    good = from_spectrum(seed, np.asarray(w) / np.sum(w))
+    m = good.copy()
+    # placed on both mirror entries, so only finiteness can reject it
+    m[i % n, j % n] = m[j % n, i % n] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for check in (qstate.check_hermitian, qstate.check_density_matrix, qstate.eigh):
+            with pytest.raises(ValueError):
+                check(m)
+        with pytest.raises(ValueError):
+            dynamics.integrate_qvn(m, good, 1.0, 0.1, 0.01)
+        with pytest.raises(ValueError):
+            dynamics.integrate_qvn(good, m, 0.5, 0.1, 0.01)
+
+
+@FAST
+@given(st.integers(1, 3), seeds, st.integers(0, 63), st.integers(0, 63), non_finite)
+def test_non_finite_supplied_gradient_is_rejected(d, seed, i, j, bad):
+    g = unit_hermitian(seed, d)
+    g[i % d, j % d] = g[j % d, i % d] = bad
+    h = hamfun.from_callable(lambda rho: 0.0, gradient=lambda rho: g)
+    psi0 = random_unitary(seed, d)[:, 0]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(hamfun.NonFiniteGradient):
+            h.effective_matrix(np.outer(psi0, psi0.conj()))
+        with pytest.raises(dynamics.NumericalError):
+            dynamics.integrate(h, psi0, 0.1, 0.01)
