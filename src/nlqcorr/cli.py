@@ -404,6 +404,8 @@ def run_teleport_demo(cfg: dict) -> int:
 
 
 def run_history_check(cfg: dict) -> int:
+    if cfg["trials"] < 1:
+        raise ConfigError(f"trials must be >= 1, got {cfg['trials']}")
     rng = np.random.default_rng(cfg["seed"])
     dim = cfg["dim"]
     devs = []
@@ -562,9 +564,14 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 1
     _, spec, runner = COMMANDS[args.command]
     try:
-        return runner(_build_config(args, spec))
+        cfg = _build_config(args, spec)
+        return runner(cfg)
     except (ConfigError, ValueError) as exc:
         print(f"nlqcorr: config error: {exc}", file=sys.stderr)
+        return 1
+    except OSError as exc:
+        # a runner's only file access is writing its output CSV
+        print(f"nlqcorr: config error: cannot write {cfg['out']}: {exc.strerror}", file=sys.stderr)
         return 1
     except NumericalError as exc:
         print(f"nlqcorr: numerical failure: {exc}", file=sys.stderr)

@@ -1,16 +1,17 @@
 """Time evolution: fixed-step RK4 integrators and closed-form propagators.
 
 ``integrate`` advances ``i dpsi/dt = M(t, psi) psi`` with classical
-4th-order steps on a uniform grid, splitting any step that straddles a
-switching time so the discontinuous generator is never sampled across a
-switch (the active term set is frozen per sub-interval at its midpoint).
+4th-order steps on a uniform grid. The generator jumps at every switching
+time, so each step is split at the switches strictly inside it and never
+samples across one; a switch within 1e-9 dt before or 1e-12 max(1, t_end)
+after a grid point acts at that point. Between two switches the active term
+set is fixed, and the right-hand side is built once: either the stacked
+product of all active generator terms c <O>^p O, or, for any other
+generator, each factor's gradient applied to its own axis of psi
+(``SwitchedHamiltonian.apply``); the composite matrix is never formed.
+States are never renormalized; norm drift is a monitored error channel.
 One RK4 step (``_rk4``) serves every flow here; the q-deformed right-hand
-side raises as soon as a stage leaves that flow's domain. Per segment the
-right-hand side is either the stacked product of all active generator terms
-c <O>^p O, or, for any other generator, each factor's gradient applied to its
-own axis of psi (``SwitchedHamiltonian.apply``); the composite matrix is
-never formed. States are never renormalized; norm drift is a monitored error
-channel.
+side raises as soon as a stage leaves that flow's domain.
 
 ``exact_pair_propagator`` is the closed-form solution for the quadratic
 sigma_z pair: each factor is a z rotation by the conserved initial average,
@@ -69,12 +70,6 @@ class Trajectory:
             raise ValueError("trajectory does not carry state vectors")
         return np.linalg.norm(self.states, axis=1)
 
-    @property
-    def final_state(self) -> np.ndarray:
-        if self.states is None:
-            raise ValueError("trajectory does not carry states")
-        return self.states[-1]
-
 
 def _as_switched(h, dim: int) -> SwitchedHamiltonian:
     if isinstance(h, SwitchedHamiltonian):
@@ -123,6 +118,18 @@ def _state_rhs(h: SwitchedHamiltonian, t_mid: float):
     return f
 
 
+def _grid(t_end: float, dt: float) -> np.ndarray:
+    """The sample times 0, dt, ..., t_end; ``t_end`` must be a whole number of steps."""
+    if dt <= 0:
+        raise ValueError("dt must be positive")
+    if t_end < 0:
+        raise ValueError("t_end must be >= 0")
+    n = int(round(t_end / dt))
+    if abs(n * dt - t_end) > 1e-9 * max(1.0, abs(t_end)):
+        raise ValueError("t_end must be an integer multiple of dt")
+    return np.arange(n + 1) * dt
+
+
 def integrate(h, psi0, t_end: float, dt: float,
               observables: dict[str, np.ndarray] | None = None) -> Trajectory:
     """Fixed-step RK4 trajectory of the switched composite flow.
@@ -136,95 +143,65 @@ def integrate(h, psi0, t_end: float, dt: float,
     h = _as_switched(h, psi0.size)
     if h.dim != psi0.size:
         raise ValueError(f"state dim {psi0.size} does not match Hamiltonian dim {h.dim}")
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    if t_end < 0:
-        raise ValueError("t_end must be >= 0")
-    n = int(round(t_end / dt))
-    if abs(n * dt - t_end) > 1e-9 * max(1.0, abs(t_end)):
-        raise ValueError("t_end must be an integer multiple of dt")
-    obs = {}
-    for name, op in (observables or {}).items():
-        obs[name] = qstate.check_hermitian(op, name=f"observable {name!r}")
+    times = _grid(t_end, dt)
+    obs = qstate.check_observables(observables)
+    n = times.size - 1
+    states = np.empty((n + 1, psi0.size), dtype=complex)
+    states[0] = psi = psi0.astype(complex)
 
-    times = np.arange(n + 1) * dt
-    d = psi0.size
-    states = np.empty((n + 1, d), dtype=complex)
-    states[0] = psi0
-
-    big_t = n * dt
-    eps = 1e-12 * max(1.0, big_t)
+    # the segments between switching times, each with its own right-hand side;
+    # a segment no longer than eps is dropped, its end switching straight to the next
+    eps = 1e-12 * max(1.0, n * dt)
     events = sorted({float(tk) for tk in h.detection_times
-                     if math.isfinite(tk) and eps < tk < big_t - eps})
-    breaks = [0.0] + events + [big_t]
+                     if math.isfinite(tk) and eps < tk < n * dt - eps})
+    breaks = [0.0] + events + [n * dt]
+    segments = [(ta, tb) for ta, tb in zip(breaks[:-1], breaks[1:]) if tb - ta > eps]
+    rhs = [_state_rhs(h, 0.5 * (ta + tb)) for ta, tb in segments]
+    ends = [tb for _, tb in segments]
 
-    psi = psi0.astype(complex)
-    next_rec = 1
-    checked = 1
-    t_cur = 0.0
-
-    def check_recorded():
-        # samples [checked, next_rec) are new; abort at the first bad one
-        nonlocal checked
-        norms = np.linalg.norm(states[checked:next_rec], axis=1)
-        drift = np.abs(norms - 1.0)
-        bad = ~(drift <= NORM_DRIFT_ABORT)
-        if np.any(bad):
-            first = int(np.argmax(bad))
-            raise NumericalError(
-                f"norm drift {drift[first]:.3e} at t = {times[checked + first]:#.6g} "
-                f"exceeds {NORM_DRIFT_ABORT:.1e} (dt = {dt:g}); generator may be "
-                "unacceptable or the step too large"
-            )
-        checked = next_rec
-
-    # overflow inside a batch surfaces as a non-finite sample, caught by check_recorded
+    grid = times.tolist()
+    # segment k takes whole steps from the grid point where it begins up to grid
+    # point ``last``, the one its end reaches or misses by under 1e-9 dt; an end
+    # within eps after a grid point switches there, any later end splits its step
+    k, last = 0, -1
+    # overflow surfaces as a non-finite sample, caught by the norm check
     with np.errstate(over="ignore", invalid="ignore"):
-        for ta, tb in zip(breaks[:-1], breaks[1:]):
-            if tb - ta <= eps:
-                continue
-            f = _state_rhs(h, 0.5 * (ta + tb))
-            # finish a step left dangling by an event inside it
-            if next_rec <= n and t_cur > times[next_rec - 1] + eps:
-                target = min(times[next_rec], tb)
-                if target > t_cur + eps:
-                    psi = _rk4(f, psi, target - t_cur)
-                    t_cur = target
-                if abs(t_cur - times[next_rec]) <= eps:
-                    states[next_rec] = psi
-                    next_rec += 1
-                    t_cur = times[next_rec - 1]
-                    check_recorded()
-            # whole steps inside the segment, checked batch by batch
-            m = int(math.floor((tb - t_cur) / dt + 1e-9))
-            for lo in range(0, m, CHECK_BATCH):
-                for _ in range(min(CHECK_BATCH, m - lo)):
-                    psi = _rk4(f, psi, dt)
-                    states[next_rec] = psi
-                    next_rec += 1
-                check_recorded()
-            if m > 0:
-                t_cur = times[next_rec - 1]
-            # partial step up to the event boundary
-            if tb - t_cur > eps:
-                psi = _rk4(f, psi, tb - t_cur)
-                t_cur = tb
+        for i in range(n):
+            t, t_next = grid[i], grid[i + 1]
+            if i > last:
+                last = i + math.floor((ends[k] - t) / dt + 1e-9)
+            while ends[k] <= t + eps:
+                k += 1
+                last = i + math.floor((ends[k] - t) / dt + 1e-9)
+            if i < last:
+                psi = _rk4(rhs[k], psi, dt)
+            else:
+                # split the step at each switch inside it; the last piece stops at
+                # a switch within eps before the grid point and is left out if it
+                # would be no longer than eps
+                while ends[k] < t_next - eps:
+                    psi = _rk4(rhs[k], psi, ends[k] - t)
+                    t, k = ends[k], k + 1
+                if min(t_next, ends[k]) > t + eps:
+                    psi = _rk4(rhs[k], psi, min(t_next, ends[k]) - t)
+            states[i + 1] = psi
+            if i + 1 == n or (i + 1) % CHECK_BATCH == 0:
+                lo = i // CHECK_BATCH * CHECK_BATCH + 1
+                drift = np.abs(np.linalg.norm(states[lo:i + 2], axis=1) - 1.0)
+                bad = ~(drift <= NORM_DRIFT_ABORT)
+                if bad.any():
+                    first = int(np.argmax(bad))
+                    raise NumericalError(
+                        f"norm drift {drift[first]:.3e} at t = {times[lo + first]:#.6g} "
+                        f"exceeds {NORM_DRIFT_ABORT:.1e} (dt = {dt:g}); generator may be "
+                        "unacceptable or the step too large"
+                    )
 
-    if next_rec != n + 1:
-        raise RuntimeError("internal stepping error: grid not fully recorded")
-
-    values = {
-        name: np.einsum("ti,ij,tj->t", states.conj(), op, states).real
-        for name, op in obs.items()
-    }
-    meta = {
-        "integrator": "rk4-fixed",
-        "dt": dt,
-        "backend": backend_name(),
-        "schedule": h.detection_times,
-        "hamiltonians": h.labels,
-        "fd_gradient": h.uses_fd_gradient,
-    }
+    values = {name: np.einsum("ti,ij,tj->t", states.conj(), op, states).real
+              for name, op in obs.items()}
+    meta = {"integrator": "rk4-fixed", "dt": dt, "backend": backend_name(),
+            "schedule": h.detection_times, "hamiltonians": h.labels,
+            "fd_gradient": h.uses_fd_gradient}
     return Trajectory(times=times, states=states, observables=values, metadata=meta)
 
 
@@ -341,31 +318,6 @@ def switched_pair_state(psi0, h1: HamiltonianFunction, h2: HamiltonianFunction,
 # q-deformed von Neumann flow
 
 
-class _LeftDomain(Exception):
-    """A q-deformed RK4 stage left the flow's domain; ``minw`` is its smallest eigenvalue."""
-
-    def __init__(self, minw: float):
-        super().__init__(minw)
-        self.minw = minw
-
-
-def _qvn_rhs(x, hmat, q: float, qint: int) -> np.ndarray:
-    """-i [H, x**q].
-
-    Raises :class:`_LeftDomain` when a non-integer power meets an eigenvalue
-    below ``QVN_NEG_TOL``, or NaN for a non-finite stage.
-    """
-    if qint > 0:
-        xq = x
-        for _ in range(qint - 1):
-            xq = xq @ x
-    else:
-        xq, minw = qstate.herm_power(x, q, QVN_EIG_FLOOR)
-        if not minw >= QVN_NEG_TOL:
-            raise _LeftDomain(minw)
-    return -1j * (hmat @ xq - xq @ hmat)
-
-
 def integrate_qvn(hmat, rho0, q: float, t_end: float, dt: float,
                   coupling: float = 1.0,
                   observables: dict[str, np.ndarray] | None = None) -> Trajectory:
@@ -373,7 +325,8 @@ def integrate_qvn(hmat, rho0, q: float, t_end: float, dt: float,
 
     The flow is isospectral and trace preserving; matrix powers for
     non-integer q go through spectral decomposition with an eigenvalue floor
-    at ``QVN_EIG_FLOOR``, and a genuinely negative eigenvalue aborts.
+    at ``QVN_EIG_FLOOR``, and a genuinely negative eigenvalue aborts. Both
+    failures, and a non-finite state, name the start of the failing step.
     """
     hmat = qstate.check_hermitian(hmat, name="Hamiltonian")
     rho0 = qstate.check_density_matrix(rho0)
@@ -381,13 +334,7 @@ def integrate_qvn(hmat, rho0, q: float, t_end: float, dt: float,
         raise ValueError("Hamiltonian and density matrix dimensions differ")
     if q <= 0:
         raise ValueError("q must be positive")
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    if t_end < 0:
-        raise ValueError("t_end must be >= 0")
-    n = int(round(t_end / dt))
-    if abs(n * dt - t_end) > 1e-9 * max(1.0, abs(t_end)):
-        raise ValueError("t_end must be an integer multiple of dt")
+    times = _grid(t_end, dt)
 
     qint = int(round(q)) if abs(q - round(q)) < 1e-12 and round(q) >= 1 else 0
     if qint == 0:
@@ -397,46 +344,44 @@ def integrate_qvn(hmat, rho0, q: float, t_end: float, dt: float,
                 f"non-integer q requires a strictly positive density matrix "
                 f"(smallest eigenvalue {w[0]:.3e})"
             )
-    obs = {}
-    for name, op in (observables or {}).items():
-        obs[name] = qstate.check_hermitian(op, name=f"observable {name!r}")
+    obs = qstate.check_observables(observables)
 
-    d = rho0.shape[0]
-    times = np.arange(n + 1) * dt
-    rhos = np.empty((n + 1, d, d), dtype=complex)
-    rhos[0] = rho0
-    r = rho0
+    rhos = np.empty((times.size,) + rho0.shape, dtype=complex)
+    rhos[0] = r = rho0
     hc = coupling * hmat
 
-    def f(x):
-        return _qvn_rhs(x, hc, q, qint)
+    # both closures report ``t``, the start of the step the loop below is taking
+    def non_finite():
+        return NumericalError(
+            f"density matrix became non-finite at t = {t:#.6g} "
+            f"with q = {q:g}, coupling = {coupling:g}; reduce dt"
+        )
 
-    # overflow inside a step surfaces as a non-finite stage or result, caught below
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(n):
-            try:
-                r = _rk4(f, r, dt)
-                if not np.isfinite(r).all():
-                    raise _LeftDomain(math.nan)
-            except _LeftDomain as exc:
-                if math.isnan(exc.minw):
-                    raise NumericalError(
-                        f"density matrix became non-finite at t = {times[k]:#.6g} "
-                        f"with q = {q:g}, coupling = {coupling:g}; reduce dt"
-                    ) from None
+    def f(x):
+        # -i [H, x**q]; a non-integer power needs a spectrum inside the domain
+        if qint > 0:
+            xq = x
+            for _ in range(qint - 1):
+                xq = xq @ x
+        else:
+            xq, minw = qstate.herm_power(x, q, QVN_EIG_FLOOR)
+            if math.isnan(minw):
+                raise non_finite()
+            if minw < QVN_NEG_TOL:
                 raise NumericalError(
-                    f"negative eigenvalue below {QVN_NEG_TOL:.1e} at t = {times[k]:#.6g} "
+                    f"negative eigenvalue below {QVN_NEG_TOL:.1e} at t = {t:#.6g} "
                     f"with non-integer q = {q:g}; reduce dt"
-                ) from None
+                )
+        return -1j * (hc @ xq - xq @ hc)
+
+    # overflow inside a step surfaces as a non-finite stage or result
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k, t in enumerate(times[:-1]):
+            r = _rk4(f, r, dt)
+            if not np.isfinite(r).all():
+                raise non_finite()
             rhos[k + 1] = r
-    values = {
-        name: np.einsum("tij,ji->t", rhos, op).real for name, op in obs.items()
-    }
-    meta = {
-        "integrator": "rk4-fixed",
-        "dt": dt,
-        "backend": backend_name(),
-        "q": q,
-        "coupling": coupling,
-    }
+    values = {name: np.einsum("tij,ji->t", rhos, op).real for name, op in obs.items()}
+    meta = {"integrator": "rk4-fixed", "dt": dt, "backend": backend_name(),
+            "q": q, "coupling": coupling}
     return Trajectory(times=times, states=rhos, observables=values, metadata=meta)

@@ -328,8 +328,7 @@ def ensemble_average_trajectory(protocol: str, psi0, h1: HamiltonianFunction,
     """
     t_grid = _check_series_inputs(protocol, t1, t2, t_grid)
     psi0 = qstate.check_state(psi0)
-    obs = {name: qstate.check_hermitian(op, name=f"observable {name!r}")
-           for name, op in observables.items()}
+    obs = qstate.check_observables(observables)
     meta = {"protocol": protocol, "t1": t1, "t2": t2,
             "hamiltonians": (h1.label, h2.label)}
 

@@ -62,6 +62,12 @@ def check_hermitian(m, tol: float = HERMITIAN_TOL, name: str = "matrix") -> np.n
     return a
 
 
+def check_observables(observables) -> dict[str, np.ndarray]:
+    """Validate a name -> Hermitian operator mapping (None means no observables)."""
+    return {name: check_hermitian(op, name=f"observable {name!r}")
+            for name, op in (observables or {}).items()}
+
+
 def check_state(psi, tol: float = STATE_NORM_TOL) -> np.ndarray:
     v = np.asarray(psi, dtype=complex)
     if v.ndim != 1 or v.size < 1:

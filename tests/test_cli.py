@@ -198,6 +198,14 @@ def test_history_check_passes(capsys):
     assert "verdict = PASS" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("trials", ["0", "-5"])
+def test_history_check_without_trials_is_a_config_error(capsys, trials):
+    assert run(["history-check", "--trials", trials]) == 1
+    out, err = capsys.readouterr()
+    assert "verdict" not in out
+    assert "config error: trials must be >= 1" in err
+
+
 # --- qvn ---
 
 def test_qvn_writes_conserved_traces(tmp_path):
@@ -250,6 +258,15 @@ def test_non_finite_deviation_fails_the_check(monkeypatch, capsys):
     monkeypatch.setattr(cli.protocols, "history_probability_projected", lambda spec, rho0: np.nan)
     assert run(["history-check", "--trials", "3"]) == 0
     assert "verdict = FAIL" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command", ["figure2", "entropy-sweep"])
+def test_unwritable_output_is_a_config_error(tmp_path, capsys, command):
+    # a missing parent directory, and an existing directory in place of the file
+    for out in (tmp_path / "missing" / "x.csv", tmp_path):
+        assert run([command, "--out", out]) == 1
+        assert f"config error: cannot write {out}" in capsys.readouterr().err
+    assert not list(tmp_path.rglob(".nlqcorr-*.tmp"))
 
 
 def test_exit_code_numerical_failure(tmp_path):

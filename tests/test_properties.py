@@ -137,6 +137,31 @@ def test_integrate_oversized_step_names_first_bad_sample(log_coupling):
         dynamics.integrate(hamfun.linear(hm), psi0, (k - 1) * dt, dt)
 
 
+@SETTINGS
+@given(seeds, st.floats(-10, 10), st.floats(-10, 10), st.integers(2, 60), st.data())
+def test_integrate_splits_steps_at_switches(seed, a, b, n, data):
+    psi0 = random_unitary(seed, 4)[:, 0]
+    dt = 1e-3
+    k = data.draw(st.integers(1, n - 1))
+    u, v = sorted(data.draw(st.lists(st.floats(0.01, 0.99), min_size=2, max_size=2, unique=True)))
+
+    def run(t1, t2=np.inf):
+        sched = hamfun.SwitchingSchedule((t1, t2), (2, 2))
+        comp = hamfun.polchinski_extend(
+            [hamfun.quadratic_average(qstate.sigma_z, c) for c in (a, b)], (2, 2), sched)
+        traj = dynamics.integrate(comp, psi0, n * dt, dt)
+        exact = [dynamics.exact_pair_propagator(psi0, a, b, sched, t) for t in traj.times]
+        assert np.max(np.abs(traj.states - exact)) <= 1e-6
+        return traj.states
+
+    on_grid = run(k * dt)
+    # a switch 1e-13 after a grid point, or within 1e-9 dt before one, acts at that point
+    for t1 in (k * dt + 1e-13, k * dt - u * 1e-9 * dt):
+        assert np.array_equal(run(t1), on_grid)
+    run((k - 1 + u) * dt)  # strictly inside a step
+    run((k - 1 + u) * dt, (k - 1 + v) * dt)  # two switches in one step
+
+
 # --- closed-form pair propagator ---
 
 def exact_pair_reference(psi0, coef_a, coef_b, schedule, t):
