@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import qstate
-from .dynamics import switched_pair_states
+from .dynamics import switched_states
 from .hamfun import HamiltonianFunction
 
 
@@ -23,8 +23,8 @@ from .hamfun import HamiltonianFunction
 class BeamSpec:
     """N pairs sharing one initial state and Hamiltonian pair.
 
-    Each row of ``times`` is (t0, t1, t2): birth time and the two detection
-    times, with t0 <= t1 and t0 <= t2.
+    Each row of ``times`` is (t0, t1, t2): a finite birth time and the two
+    detection times, with t0 <= t1 and t0 <= t2 (+inf: never detected).
     """
 
     psi0: np.ndarray
@@ -42,8 +42,9 @@ class BeamSpec:
         t = np.asarray(self.times, dtype=float)
         if t.ndim != 2 or t.shape[1] != 3 or t.shape[0] < 1:
             raise ValueError("times must be an (n_pairs, 3) array of (t0, t1, t2)")
-        if np.any(t[:, 1] < t[:, 0]) or np.any(t[:, 2] < t[:, 0]):
-            raise ValueError("each pair needs t0 <= t1 and t0 <= t2")
+        # NaN fails every comparison, so it is rejected too
+        if not (np.isfinite(t[:, 0]).all() and (t[:, 1:] >= t[:, :1]).all()):
+            raise ValueError("each pair needs a finite t0 with t0 <= t1 and t0 <= t2")
         t = t.copy()
         t.setflags(write=False)
         object.__setattr__(self, "times", t)
@@ -103,5 +104,5 @@ def sub_beam_state(beam: BeamSpec, t: float) -> np.ndarray:
     t0, t1, t2 = beam.times.T
     tau1 = np.maximum(0.0, np.minimum(t, t1) - t0)
     tau2 = np.maximum(0.0, np.minimum(t, t2) - t0)
-    psi_t = switched_pair_states(beam.psi0, beam.h1, beam.h2, tau1, tau2)
+    psi_t = switched_states(beam.psi0, (beam.h1, beam.h2), (tau1, tau2))
     return qstate.reduced_states(psi_t, (2, 2), keep=1)

@@ -15,10 +15,12 @@ side raises as soon as a stage leaves that flow's domain.
 
 ``exact_pair_propagator`` is the closed-form solution for the quadratic
 sigma_z pair: each factor is a z rotation by the conserved initial average,
-accumulated only over the switched-on interval. ``propagator_family`` and
-``switched_pair_states`` propagate a whole array of durations from one
-diagonalization per particle. ``integrate_qvn`` advances
-the isospectral q-deformed von Neumann flow ``i drho/dt = [H, rho^q]``.
+accumulated only over the switched-on interval. ``propagator_family``
+propagates one factor through a whole array of durations from one
+diagonalization; ``switched_states`` combines one such stack per factor into
+the composite states of the switched multiparticle flow, for any number of
+factors. ``integrate_qvn`` advances the isospectral q-deformed von Neumann
+flow ``i drho/dt = [H, rho^q]``.
 """
 
 from __future__ import annotations
@@ -119,11 +121,15 @@ def _state_rhs(h: SwitchedHamiltonian, t_mid: float):
 
 
 def _grid(t_end: float, dt: float) -> np.ndarray:
-    """The sample times 0, dt, ..., t_end; ``t_end`` must be a whole number of steps."""
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    if t_end < 0:
-        raise ValueError("t_end must be >= 0")
+    """The sample times 0, dt, ..., t_end; ``t_end`` must be a whole number of steps.
+
+    A step no longer than 1e-12 max(1, t_end) is rejected: ``integrate``
+    drops every segment that short, so such a step would have nothing to run.
+    """
+    if not 0 <= t_end < math.inf:
+        raise ValueError(f"t_end must be finite and >= 0, got {t_end!r}")
+    if not dt > 1e-12 * max(1.0, t_end):
+        raise ValueError(f"dt must exceed 1e-12 max(1, t_end), got {dt!r}")
     n = int(round(t_end / dt))
     if abs(n * dt - t_end) > 1e-9 * max(1.0, abs(t_end)):
         raise ValueError("t_end must be an integer multiple of dt")
@@ -235,15 +241,6 @@ def exact_pair_propagator(psi0, coef_a: float, coef_b: float,
     return np.array([e1 * e2, e1 * c2, c1 * e2, c1 * c2]) * psi0
 
 
-def one_particle_propagator(h: HamiltonianFunction, rho0, duration: float,
-                            fallback_dt: float = 1e-3) -> np.ndarray:
-    """Unitary of the self-consistent one-particle flow over ``duration``.
-
-    The single-duration case of :func:`propagator_family`.
-    """
-    return propagator_family(h, rho0, [duration], fallback_dt)[0]
-
-
 def propagator_family(h: HamiltonianFunction, rho0, durations,
                       fallback_dt: float = 1e-3) -> np.ndarray:
     """One-particle flow unitaries for a 1-d array of durations, shape (n, d, d).
@@ -258,8 +255,8 @@ def propagator_family(h: HamiltonianFunction, rho0, durations,
     taus = np.asarray(durations, dtype=float)
     if taus.ndim != 1:
         raise ValueError("durations must be a 1-d sequence")
-    if not np.all(taus >= 0):
-        raise ValueError("durations must be >= 0")
+    if not ((taus >= 0) & (taus < np.inf)).all():
+        raise ValueError("durations must be finite and >= 0")
     rho0 = np.asarray(rho0, dtype=complex)
     if h.conserved_generator:
         w, v = qstate.eigh(h.effective_matrix(rho0))
@@ -283,35 +280,34 @@ def propagator_family(h: HamiltonianFunction, rho0, durations,
     return out[inverse.reshape(-1)]
 
 
-def switched_pair_states(psi0, h1: HamiltonianFunction, h2: HamiltonianFunction,
-                         tau1, tau2, dims=(2, 2)) -> np.ndarray:
+def switched_states(psi0, hs, taus, dims=(2, 2)) -> np.ndarray:
     """Composite states after each factor evolved for its own switched durations.
 
-    ``tau1`` and ``tau2`` are equal-length 1-d arrays; row i of the (n, d1*d2)
-    result is the state after durations (tau1[i], tau2[i]). The composite
-    switched flow factorizes exactly into one-particle unitaries (the two
-    lifted generator terms commute at all times), so passing the kappa
-    integrals as durations reproduces the full switched solution.
+    ``hs`` holds one generator and ``taus`` one 1-d duration array per factor
+    of ``dims``, all arrays of one length n; row i of the (n, prod(dims))
+    result is the state after factor k evolved for ``taus[k][i]``. The
+    switched multiparticle flow factorizes exactly into one-particle unitaries
+    (lifted generator terms of different factors commute at all times), so
+    passing the kappa integrals as durations reproduces the full switched
+    solution.
     """
     psi0 = qstate.check_state(psi0)
-    d1, d2 = (int(d) for d in dims)
-    if d1 * d2 != psi0.size:
+    dims = tuple(int(d) for d in dims)
+    if math.prod(dims) != psi0.size:
         raise ValueError("dims do not factor the composite dimension")
-    tau1, tau2 = np.asarray(tau1, dtype=float), np.asarray(tau2, dtype=float)
-    if tau1.shape != tau2.shape:
-        raise ValueError("tau1 and tau2 must have the same shape")
+    if not len(hs) == len(taus) == len(dims):
+        raise ValueError("need one generator and one duration array per factor")
+    taus = [np.asarray(tau, dtype=float) for tau in taus]
+    if any(tau.shape != taus[0].shape for tau in taus):
+        raise ValueError("duration arrays must have the same shape")
     rho = np.outer(psi0, psi0.conj())
-    u1 = propagator_family(h1, qstate.reduced_density(rho, dims, 0), tau1)
-    u2 = propagator_family(h2, qstate.reduced_density(rho, dims, 1), tau2)
-    # a stack of kron(u1, u2), entry by entry as np.kron forms it
-    pair = (u1[:, :, None, :, None] * u2[:, None, :, None, :]).reshape(-1, d1 * d2, d1 * d2)
-    return pair @ psi0
-
-
-def switched_pair_state(psi0, h1: HamiltonianFunction, h2: HamiltonianFunction,
-                        tau1: float, tau2: float, dims=(2, 2)) -> np.ndarray:
-    """The single-pair case of :func:`switched_pair_states`."""
-    return switched_pair_states(psi0, h1, h2, [tau1], [tau2], dims)[0]
+    u = propagator_family(hs[0], qstate.reduced_density(rho, dims, 0), taus[0])
+    for k in range(1, len(dims)):
+        uk = propagator_family(hs[k], qstate.reduced_density(rho, dims, k), taus[k])
+        m = u.shape[1] * dims[k]
+        # a stack of kron(u, uk), entry by entry as np.kron forms it
+        u = (u[:, :, None, :, None] * uk[:, None, :, None, :]).reshape(-1, m, m)
+    return u @ psi0
 
 
 # ---------------------------------------------------------------------------

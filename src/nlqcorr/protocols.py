@@ -26,12 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import qstate
-from .dynamics import (
-    Trajectory,
-    one_particle_propagator,
-    switched_pair_state,
-    switched_pair_states,
-)
+from .dynamics import Trajectory, propagator_family, switched_states
 from .hamfun import HamiltonianFunction
 
 PROJECTOR_TOL = 1e-12
@@ -196,7 +191,7 @@ def switching_correlator(psi0, h1: HamiltonianFunction, h2: HamiltonianFunction,
     dir_a, dir_b = directions
     ea = qstate.projector(dir_a)
     eb = qstate.projector(dir_b)
-    psi_f = switched_pair_state(psi0, h1, h2, t1, t2)
+    psi_f = switched_states(psi0, (h1, h2), ([t1], [t2]))[0]
     outcomes = {}
     for sa, eaop in zip((1, -1), ea):
         for sb, ebop in zip((1, -1), eb):
@@ -211,7 +206,7 @@ def zeno_branches(psi0, h1, h2, t1, direction_a):
     Returns ``(psi_t1, [(sign, weight, state or None), ...])``; a branch whose
     projection weight falls below ``DEAD_BRANCH_TOL`` carries ``None``.
     """
-    psi_t1 = switched_pair_state(psi0, h1, h2, t1, t1)
+    psi_t1 = switched_states(psi0, (h1, h2), ([t1], [t1]))[0]
     eye2 = qstate.identity(2)
     branches = []
     for sign, e in zip((1, -1), qstate.projector(direction_a)):
@@ -251,7 +246,7 @@ def zeno_correlator(psi0, h1: HamiltonianFunction, h2: HamiltonianFunction,
                 outcomes[(sign_a, sb)] = 0.0
             continue
         rho2 = qstate.partial_trace(np.outer(v, v.conj()), (2, 2), keep=2)
-        u2 = one_particle_propagator(h2, rho2, t2 - t1)
+        u2 = propagator_family(h2, rho2, [t2 - t1])[0]
         vt = np.kron(eye2, u2) @ v
         for sb, ebop in zip((1, -1), eb):
             outcomes[(sign_a, sb)] = w * qstate.expectation(vt, np.kron(ea_by_sign[sign_a], ebop))
@@ -281,14 +276,14 @@ def _series_states(protocol: str, psi0, h1, h2, t1, t2, t_grid, direction_a):
     branch carries ``None``.
     """
     if protocol == "switching":
-        return switched_pair_states(psi0, h1, h2, np.minimum(t_grid, t1), np.minimum(t_grid, t2)), []
+        return switched_states(psi0, (h1, h2), (np.minimum(t_grid, t1), np.minimum(t_grid, t2))), []
     if protocol != "zeno":
         raise ValueError(f"unknown protocol {protocol!r}")
     pre = t_grid[t_grid <= t1]
     post = np.minimum(t_grid[t_grid > t1], t2) - t1
     _, branches = zeno_branches(psi0, h1, h2, t1, direction_a)
-    return switched_pair_states(psi0, h1, h2, pre, pre), [
-        (sign, w, None if v is None else switched_pair_states(v, h1, h2, np.zeros_like(post), post))
+    return switched_states(psi0, (h1, h2), (pre, pre)), [
+        (sign, w, None if v is None else switched_states(v, (h1, h2), (np.zeros_like(post), post)))
         for sign, w, v in branches
     ]
 

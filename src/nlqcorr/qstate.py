@@ -9,6 +9,8 @@ symmetrized away. All functions are pure and never mutate inputs.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 HERMITIAN_TOL = 1e-12
@@ -138,18 +140,21 @@ def partial_trace(rho, dims, keep: int) -> np.ndarray:
 
 
 def reduced_states(psis, dims, keep: int) -> np.ndarray:
-    """Reduced matrices of one factor of a stack of bipartite pure states.
+    """Reduced matrices of one factor of a stack of composite pure states.
 
-    ``psis`` is an (n, d1 * d2) array of state vectors; returns the (n, d, d)
-    stack of reduced matrices of factor ``keep`` (1-based, as in
+    ``psis`` is an (n, prod(dims)) array of state vectors; returns the
+    (n, d, d) stack of reduced matrices of factor ``keep`` (1-based, as in
     :func:`partial_trace`).
     """
-    d1, d2 = (int(d) for d in dims)
-    if keep not in (1, 2):
-        raise ValueError("keep must be 1 or 2")
-    m = np.asarray(psis, dtype=complex).reshape(-1, d1, d2)
-    if keep == 2:
-        m = m.transpose(0, 2, 1)
+    dims = tuple(int(d) for d in dims)
+    if not 1 <= keep <= len(dims):
+        raise ValueError(f"keep={keep} out of range for {len(dims)} subsystems")
+    m = np.asarray(psis, dtype=complex)
+    if m.shape[-1] != math.prod(dims):
+        raise ValueError(f"dims {dims} do not factor dimension {m.shape[-1]}")
+    # factor ``keep`` on axis 1, the traced factors flattened behind it in any order
+    d = dims[keep - 1]
+    m = m.reshape((-1,) + dims).swapaxes(1, keep).reshape(-1, d, m.shape[-1] // d)
     return np.einsum("nab,ncb->nac", m, m.conj())
 
 

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -63,6 +65,14 @@ def test_beam_spec_validation():
         beams.BeamSpec(qstate.singlet_state(), h1, h2, [[1.0, 0.5, 2.0]])
     with pytest.raises(ValueError):
         beams.BeamSpec(qstate.singlet_state(), h1, h2, [[0.0, 1.0]])
+    # +inf detection means never detected; NaN and non-finite births are rejected
+    beams.BeamSpec(qstate.singlet_state(), h1, h2, [[0.0, np.inf, np.inf]])
+    for row in ([np.nan, 1.0, 2.0], [0.0, np.nan, 2.0], [0.0, 1.0, np.nan],
+                [-np.inf, 1.0, 2.0], [np.inf, np.inf, np.inf]):
+        with pytest.raises(ValueError):
+            beams.BeamSpec(qstate.singlet_state(), h1, h2, [row])
+    with pytest.raises(ValueError):
+        beams.BeamSpec.from_flight_times(qstate.singlet_state(), h1, h2, [0.0], [np.nan], [1.0])
 
 
 def test_beam_spec_flight_time_parametrization():
@@ -111,6 +121,21 @@ def test_sub_beam_staggered_births_shift_trajectories():
     early = beams.sub_beam_state(spec, 0.5)
     rho0 = qstate.partial_trace(np.outer(psi0, psi0.conj()), (2, 2), 1)
     assert np.max(np.abs(early[1] - rho0)) <= 1e-14
+
+
+def test_sub_beam_state_at_infinite_time():
+    h1, h2 = quad_pair()
+    psi0 = qstate.tilted_pair_state()
+    detected = beams.BeamSpec(psi0, h1, h2, [[0.0, 3.5, 8.0], [1.0, 4.5, 9.0]])
+    never = beams.BeamSpec(psi0, h1, h2, [[0.0, 3.5, 8.0], [1.0, np.inf, 9.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        # once every particle is detected, the state at t = inf is the frozen one
+        assert np.array_equal(beams.sub_beam_state(detected, np.inf),
+                              beams.sub_beam_state(detected, 10.0))
+        # a never-detected particle has no state at t = inf
+        with pytest.raises(ValueError, match="finite"):
+            beams.sub_beam_state(never, np.inf)
 
 
 def test_sample_variance_concentrates_like_one_over_n(rng):

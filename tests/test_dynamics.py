@@ -95,8 +95,8 @@ def test_reduced_state_independent_of_other_side_closed_form():
         h2 = hamfun.quadratic_average(qstate.sigma_z, b)
         out = []
         for t in grid:
-            s = dynamics.switched_pair_state(
-                psi0, h1, h2, hamfun.kappa(t, 3.5), hamfun.kappa(t, t2))
+            s = dynamics.switched_states(
+                psi0, (h1, h2), ([hamfun.kappa(t, 3.5)], [hamfun.kappa(t, t2)]))[0]
             out.append(qstate.partial_trace(np.outer(s, s.conj()), (2, 2), 1))
         return np.stack(out)
 
@@ -186,12 +186,22 @@ def test_integrate_input_validation():
     psi0, comp, _ = example_setup()
     with pytest.raises(ValueError):
         dynamics.integrate(comp, psi0, 1.0, -1e-3)
-    with pytest.raises(ValueError):
-        dynamics.integrate(comp, psi0, -1.0, 1e-3)
+    for t_end in (-1.0, np.inf, np.nan):
+        with pytest.raises(ValueError, match="t_end must be finite"):
+            dynamics.integrate(comp, psi0, t_end, 1e-3)
     with pytest.raises(ValueError):
         dynamics.integrate(comp, psi0, 1.0005, 1e-2)
     with pytest.raises(ValueError):
         dynamics.integrate(comp, np.array([1, 0], dtype=complex), 1.0, 1e-2)
+
+
+def test_integrate_rejects_step_below_switch_resolution():
+    # integrate drops every segment no longer than 1e-12 max(1, t_end), so a
+    # step that short would leave nothing to run
+    h = hamfun.quadratic_average(qstate.sigma_z)
+    for t_end, dt in ((1e-13, 1e-13), (0.0, 1e-12)):
+        with pytest.raises(ValueError, match="dt must exceed"):
+            dynamics.integrate(h, [1, 0], t_end, dt)
 
 
 # --- exact propagator ---
@@ -235,30 +245,57 @@ def test_exact_propagator_validation():
 
 # --- one-particle propagation helpers ---
 
-def test_one_particle_propagator_conserved_matches_generic(rng):
+def test_propagator_family_conserved_matches_generic(rng):
     # same nonlinear flow through the closed form and the unitary ODE
     h = hamfun.quadratic_average(qstate.sigma_z, 1.3)
     psi = random_state(rng, 2)
     rho = np.outer(psi, psi.conj())
-    u_closed = dynamics.one_particle_propagator(h, rho, 2.0)
+    u_closed = dynamics.propagator_family(h, rho, [2.0])[0]
     h_generic = hamfun.from_callable(
         lambda r: 1.3 * np.trace(r @ qstate.sigma_z).real ** 2 / 2,
         gradient=lambda r: 1.3 * np.trace(r @ qstate.sigma_z).real * np.asarray(qstate.sigma_z),
         label="generic-quad")
-    u_ode = dynamics.one_particle_propagator(h_generic, rho, 2.0, fallback_dt=1e-3)
+    u_ode = dynamics.propagator_family(h_generic, rho, [2.0], fallback_dt=1e-3)[0]
     assert np.max(np.abs(u_closed - u_ode)) <= 1e-8
 
 
-def test_switched_pair_state_matches_exact_propagator():
+def test_switched_states_matches_exact_propagator():
     psi0 = qstate.tilted_pair_state()
     h1 = hamfun.quadratic_average(qstate.sigma_z, 8.0)
     h2 = hamfun.quadratic_average(qstate.sigma_z, 0.5)
     sched = hamfun.SwitchingSchedule((3.5, 8.0), (2, 2))
     for t in (0.0, 1.0, 3.5, 5.0, 9.0):
-        lhs = dynamics.switched_pair_state(
-            psi0, h1, h2, hamfun.kappa(t, 3.5), hamfun.kappa(t, 8.0))
+        lhs = dynamics.switched_states(
+            psi0, (h1, h2), ([hamfun.kappa(t, 3.5)], [hamfun.kappa(t, 8.0)]))[0]
         rhs = dynamics.exact_pair_propagator(psi0, 8.0, 0.5, sched, t)
         assert np.max(np.abs(lhs - rhs)) <= 1e-12
+
+
+def test_switched_states_pair_is_kron_product_bit_for_bit(rng):
+    # the CSVs of every pair command stay byte-identical only while the pair
+    # case is exactly kron(u1, u2) @ psi0
+    psi0 = random_state(rng, 4)
+    rho = np.outer(psi0, psi0.conj())
+    for e1, e2 in ((("quadratic-z", 8.0), ("mean-field", 0.5)),
+                   (("linear-z", -2.0), ("quadratic-z", 3.0))):
+        h1, h2 = hamfun.catalogue_entry(*e1), hamfun.catalogue_entry(*e2)
+        tau1, tau2 = rng.uniform(0.0, 10.0, (2, 17))
+        got = dynamics.switched_states(psi0, (h1, h2), (tau1, tau2))
+        u1 = dynamics.propagator_family(h1, qstate.reduced_density(rho, (2, 2), 0), tau1)
+        u2 = dynamics.propagator_family(h2, qstate.reduced_density(rho, (2, 2), 1), tau2)
+        ref = np.stack([np.kron(a, b) @ psi0 for a, b in zip(u1, u2)])
+        assert np.array_equal(got, ref)
+
+
+def test_switched_states_validation():
+    h = hamfun.quadratic_average(qstate.sigma_z)
+    psi0 = qstate.tilted_pair_state()
+    with pytest.raises(ValueError, match="one generator"):
+        dynamics.switched_states(psi0, (h,), ([1.0],))
+    with pytest.raises(ValueError, match="same shape"):
+        dynamics.switched_states(psi0, (h, h), ([1.0], [1.0, 2.0]))
+    with pytest.raises(ValueError, match="factor"):
+        dynamics.switched_states(psi0, (h, h, h), ([1.0], [1.0], [1.0]), dims=(2, 2, 2))
 
 
 # --- q-deformed von Neumann flow ---

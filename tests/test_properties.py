@@ -225,7 +225,7 @@ def test_propagator_stack_matches_single_durations_conserved(entry, seed, taus):
     assert stack.shape == (len(taus), 2, 2)
     g = h.effective_matrix(rho0)
     for u, tau in zip(stack, taus):
-        assert np.max(np.abs(u - dynamics.one_particle_propagator(h, rho0, tau))) <= 1e-12
+        assert np.max(np.abs(u - dynamics.propagator_family(h, rho0, [tau])[0])) <= 1e-12
         # independent closed form, to the roundoff of a phase |w| tau
         scale = max(1.0, np.abs(np.linalg.eigvalsh(g)).max() * tau)
         assert np.max(np.abs(u - qstate.herm_exp(g, -1j * tau))) <= 1e-14 * scale
@@ -243,14 +243,14 @@ def test_propagator_stack_matches_single_durations_nonconserved(cz, cx, seed, st
     rho0 = one_particle_density(seed)
     stack = dynamics.propagator_family(h, rho0, taus, fallback_dt=dt)
     for u, tau in zip(stack, taus):
-        single = dynamics.one_particle_propagator(h, rho0, tau, fallback_dt=dt)
+        single = dynamics.propagator_family(h, rho0, [tau], fallback_dt=dt)[0]
         assert np.max(np.abs(u - single)) <= 1e-12
 
 
 def test_propagator_family_rejects_bad_durations():
     h = hamfun.catalogue_entry("quadratic-z", 1.0)
     rho0 = one_particle_density(0)
-    for bad in ([-1.0], [0.5, np.nan], [[0.5]]):
+    for bad in ([-1.0], [0.5, np.nan], [np.inf], [[0.5]]):
         with pytest.raises(ValueError):
             dynamics.propagator_family(h, rho0, bad)
 
@@ -259,8 +259,8 @@ def sub_beam_loop(beam, t):
     """Per-pair oracle: one switched pair state and one partial trace per pair."""
     out = []
     for t0, t1, t2 in beam.times:
-        psi = dynamics.switched_pair_state(
-            beam.psi0, beam.h1, beam.h2, max(0.0, min(t, t1) - t0), max(0.0, min(t, t2) - t0))
+        psi = dynamics.switched_states(
+            beam.psi0, (beam.h1, beam.h2), ([max(0.0, min(t, t1) - t0)], [max(0.0, min(t, t2) - t0)]))[0]
         out.append(qstate.partial_trace(np.outer(psi, psi.conj()), (2, 2), keep=1))
     return np.stack(out)
 
@@ -295,19 +295,19 @@ def locality_series_per_point(protocol, psi0, h1, h2, t1, t2, grid, keep, direct
         return qstate.partial_trace(np.outer(psi, psi.conj()), (2, 2), keep=keep)
 
     if protocol == "switching":
-        return np.stack([reduced(dynamics.switched_pair_state(
-            psi0, h1, h2, hamfun.kappa(t, t1), hamfun.kappa(t, t2))) for t in grid])
+        return np.stack([reduced(dynamics.switched_states(
+            psi0, (h1, h2), ([hamfun.kappa(t, t1)], [hamfun.kappa(t, t2)]))[0]) for t in grid])
     _, branches = protocols.zeno_branches(psi0, h1, h2, t1, direction_a)
     series = []
     for t in grid:
         if t <= t1:
-            series.append(reduced(dynamics.switched_pair_state(psi0, h1, h2, t, t)))
+            series.append(reduced(dynamics.switched_states(psi0, (h1, h2), ([t], [t]))[0]))
             continue
         mix = np.zeros((2, 2), dtype=complex)
         for _, w, v in branches:
             if v is not None:
-                u2 = dynamics.one_particle_propagator(
-                    h2, qstate.partial_trace(np.outer(v, v.conj()), (2, 2), keep=2), min(t, t2) - t1)
+                u2 = dynamics.propagator_family(
+                    h2, qstate.partial_trace(np.outer(v, v.conj()), (2, 2), keep=2), [min(t, t2) - t1])[0]
                 mix += w * reduced(np.kron(qstate.identity(2), u2) @ v)
         series.append(mix)
     return np.stack(series)
@@ -372,6 +372,50 @@ def factor_parts(draw, d):
 
 
 detection_times = st.one_of(st.floats(0.0, 2.0), st.just(np.inf))
+
+
+@st.composite
+def multiparty_setups(draw):
+    """Qubit catalogue entries and single-term qutrit generators on two or three
+    factors, detection times drawn from ``detection_times``, and an evolution
+    time on the integrator grid."""
+    dims = draw(st.sampled_from([(2, 2, 2), (2, 3), (3, 2, 2)]))
+    parts = []
+    for d in dims:
+        coef = draw(st.floats(-3.0, 3.0))
+        if d == 2:
+            parts.append(hamfun.catalogue_entry(draw(st.sampled_from(hamfun.CATALOGUE_NAMES)), coef))
+        else:
+            op = unit_hermitian(draw(seeds), d)
+            parts.append(draw(st.sampled_from([hamfun.linear(coef * op),
+                                               hamfun.quadratic_average(op, coef)])))
+    times = [draw(detection_times) for _ in dims]
+    psi0 = random_unitary(draw(seeds), int(np.prod(dims)))[:, 0]
+    return dims, parts, times, psi0, draw(st.integers(0, 2500))
+
+
+@settings(max_examples=15, deadline=None)
+@given(multiparty_setups())
+def test_switched_states_matches_multiparty_integrator(setup):
+    dims, parts, times, psi0, steps = setup
+    dt = 1e-3
+    comp = hamfun.polchinski_extend(parts, dims, hamfun.SwitchingSchedule(tuple(times), dims))
+    ref = dynamics.integrate(comp, psi0, steps * dt, dt).states[-1]
+    taus = [[hamfun.kappa(steps * dt, tk)] for tk in times]
+    got = dynamics.switched_states(psi0, parts, taus, dims)[0]
+    assert np.max(np.abs(got - ref)) <= 1e-7
+
+
+@SETTINGS
+@given(st.lists(st.integers(2, 3), min_size=2, max_size=3), st.integers(1, 5), seeds, st.data())
+def test_reduced_states_match_reduced_density(dims, n, seed, data):
+    keep = data.draw(st.integers(1, len(dims)))
+    psis = np.stack([random_unitary(seed + i, int(np.prod(dims)))[:, 0] for i in range(n)])
+    got = qstate.reduced_states(psis, dims, keep)
+    assert got.shape == (n, dims[keep - 1], dims[keep - 1])
+    for psi, rho in zip(psis, got):
+        ref = qstate.reduced_density(np.outer(psi, psi.conj()), dims, keep - 1)
+        assert np.max(np.abs(rho - ref)) <= 1e-14
 
 
 @st.composite

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -258,6 +260,26 @@ def test_trajectory_rejects_bad_inputs():
             "zeno", psi0, h1, h2, np.inf, np.inf, obs, np.array([0.0, 1.0]))
     with pytest.raises(ValueError):
         protocols.zeno_correlator(psi0, h1, h2, 2.0, 1.0, XHAT, XHAT)
+
+
+def test_series_reject_infinite_durations():
+    # a grid point at t = inf leaves a never-detected particle with no state
+    psi0 = qstate.tilted_pair_state()
+    h1, h2 = quad_pair()
+    obs = {"1x": np.kron(I2, qstate.sigma_x)}
+    grid = np.array([0.0, np.inf])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for protocol, t1, t2 in (("switching", 1.0, np.inf), ("switching", np.inf, 2.0),
+                                 ("zeno", 1.0, np.inf)):
+            with pytest.raises(ValueError, match="finite"):
+                protocols.reduced_state_series(protocol, psi0, h1, h2, t1, t2, grid, keep=1)
+            with pytest.raises(ValueError, match="finite"):
+                protocols.ensemble_average_trajectory(protocol, psi0, h1, h2, t1, t2, obs, grid)
+        # with both detection times finite the state at t = inf is the frozen one
+        frozen = protocols.reduced_state_series("switching", psi0, h1, h2, 1.0, 2.0, grid, keep=1)
+        assert np.array_equal(frozen[1], protocols.reduced_state_series(
+            "switching", psi0, h1, h2, 1.0, 2.0, [0.0, 3.0], keep=1)[1])
 
 
 # --- teleportation demonstration ---
