@@ -221,6 +221,7 @@ def exact_pair_propagator(psi0, coef_a: float, coef_b: float,
 
     Each qubit factor rotates about z with the conserved initial average,
     exp(-i c_k <sigma_z(0)>_k sigma_z kappa(t, t_k)); exactly norm preserving.
+    ``t`` may be +inf only once both particles are detected.
     """
     psi0 = qstate.check_state(psi0)
     if psi0.size != 4:
@@ -234,8 +235,11 @@ def exact_pair_propagator(psi0, coef_a: float, coef_b: float,
     p0, p1, p2, p3 = (psi0 * psi0.conj()).real
     z1 = (p0 + p1) - (p2 + p3)
     z2 = (p0 + p2) - (p1 + p3)
-    alpha = coef_a * z1 * kappa(t, t1)
-    beta = coef_b * z2 * kappa(t, t2)
+    k1, k2 = kappa(t, t1), kappa(t, t2)
+    if not math.isfinite(k1 + k2):
+        raise ValueError("t = inf leaves a never-detected particle; switched durations must be finite")
+    alpha = coef_a * z1 * k1
+    beta = coef_b * z2 * k2
     e1, e2 = cmath.exp(-1j * alpha), cmath.exp(-1j * beta)
     c1, c2 = e1.conjugate(), e2.conjugate()
     return np.array([e1 * e2, e1 * c2, c1 * e2, c1 * c2]) * psi0
@@ -301,9 +305,9 @@ def switched_states(psi0, hs, taus, dims=(2, 2)) -> np.ndarray:
     if any(tau.shape != taus[0].shape for tau in taus):
         raise ValueError("duration arrays must have the same shape")
     rho = np.outer(psi0, psi0.conj())
-    u = propagator_family(hs[0], qstate.reduced_density(rho, dims, 0), taus[0])
+    u = propagator_family(hs[0], qstate.partial_trace(rho, dims, 1), taus[0])
     for k in range(1, len(dims)):
-        uk = propagator_family(hs[k], qstate.reduced_density(rho, dims, k), taus[k])
+        uk = propagator_family(hs[k], qstate.partial_trace(rho, dims, k + 1), taus[k])
         m = u.shape[1] * dims[k]
         # a stack of kron(u, uk), entry by entry as np.kron forms it
         u = (u[:, :, None, :, None] * uk[:, None, :, None, :]).reshape(-1, m, m)

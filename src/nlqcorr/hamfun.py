@@ -51,6 +51,8 @@ def kappa(t: float, t_k: float) -> float:
     Non-decreasing in t and constant once t passes the detection time; with
     t_k = +inf it reduces to t (the never-detected sentinel).
     """
+    if math.isnan(t):
+        raise ValueError("kappa requires t to be finite or +inf, got nan")
     if t < 0:
         raise ValueError("kappa requires t >= 0")
     return min(t, t_k)
@@ -408,7 +410,7 @@ class SwitchedHamiltonian:
         total = 0.0
         for k, (part, tk) in enumerate(zip(self.parts, self.detection_times)):
             if theta(t - tk):
-                total += part.energy(qstate.reduced_density(rho, self.dims, k))
+                total += part.energy(qstate.partial_trace(rho, self.dims, k + 1))
         return float(total)
 
     def _factors(self, t: float, psi):

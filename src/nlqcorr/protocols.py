@@ -1,13 +1,15 @@
 """Measurement protocols for two-time correlations on entangled qubit pairs.
 
 Two rival recipes for the joint statistics of measuring particle #1 at t1 and
-particle #2 at t2 > t1:
+particle #2 at t2 > t1; one reader builds the outcome tables of both from a
+(weight, state) row per sign of particle #1:
 
 * the switching protocol keeps the joint evolution unitary and simply shuts
   each particle's generator off at its detection time, reading all outcome
   probabilities from the final frozen state;
 * the Zeno protocol projects the joint state at t1, renormalizes each branch
-  and lets particle #2 continue with the branch-conditioned generator.
+  and lets particle #2 continue with the branch-conditioned generator; its
+  tables and curves share this one branch evolution, ``zeno_branches``.
 
 For bilinear (linear quantum mechanics) Hamiltonian functions the two agree
 identically; for genuinely nonlinear functions the Zeno route develops a
@@ -57,6 +59,8 @@ class HistorySpec:
         prev = 0.0
         for i, (t, e) in enumerate(self.projectors):
             t = float(t)
+            if not math.isfinite(t):
+                raise ValueError(f"projector {i} time must be finite, got {t!r}")
             if t < 0 or (i > 0 and t <= prev):
                 raise ValueError("projector times must be positive and strictly increasing")
             prev = t
@@ -68,6 +72,8 @@ class HistorySpec:
             events.append((t, e))
         if not events:
             raise ValueError("history needs at least one projector")
+        if not math.isfinite(self.final_time):
+            raise ValueError(f"final_time must be finite, got {self.final_time!r}")
         if self.final_time < prev:
             raise ValueError("final_time must not precede the last projector")
         object.__setattr__(self, "projectors", tuple(events))
@@ -121,7 +127,6 @@ class MeasurementOutcomeTable:
     """
 
     outcomes: dict[tuple[int, int], float]
-    marginals: dict[str, dict[int, float]]
     correlator: float
     dead_branches: tuple[int, ...] = ()
     metadata: dict = field(default_factory=dict)
@@ -145,19 +150,30 @@ class MeasurementOutcomeTable:
             )
 
     def marginal(self, particle: str, sign: int) -> float:
-        return self.marginals[particle][sign]
+        """Probability that particle ``"first"`` or ``"second"`` reads ``sign``."""
+        axis = {"first": 0, "second": 1}.get(particle)
+        if axis is None:
+            raise ValueError(f"unknown particle {particle!r}; expected 'first' or 'second'")
+        return sum(p for key, p in self.outcomes.items() if key[axis] == sign)
 
 
-def _assemble_table(outcomes: dict[tuple[int, int], float], correlator: float,
-                    dead: tuple[int, ...] = (), metadata: dict | None = None) -> MeasurementOutcomeTable:
-    marg = {
-        "first": {s: outcomes[(s, 1)] + outcomes[(s, -1)] for s in (1, -1)},
-        "second": {s: outcomes[(1, s)] + outcomes[(-1, s)] for s in (1, -1)},
-    }
-    return MeasurementOutcomeTable(
-        outcomes=outcomes, marginals=marg, correlator=correlator,
-        dead_branches=dead, metadata=metadata or {},
-    )
+def _outcome_table(protocol: str, t1: float, t2: float, rows, directions,
+                   correlator: float | None = None) -> MeasurementOutcomeTable:
+    """p(s, s') = w_s <psi_s| E_s (x) E_s' |psi_s> from one row (w_s, psi_s) per sign s.
+
+    A row whose state is None is a dead branch: it reads exact zeros and is
+    flagged. ``correlator`` defaults to sum_{s,s'} s s' p(s, s').
+    """
+    outcomes = {}
+    eb = qstate.projector(directions[1])
+    for sa, ea, (w, psi) in zip((1, -1), qstate.projector(directions[0]), rows):
+        for sb, ebop in zip((1, -1), eb):
+            outcomes[(sa, sb)] = 0.0 if psi is None else w * qstate.expectation(psi, np.kron(ea, ebop))
+    if correlator is None:
+        correlator = sum(sa * sb * p for (sa, sb), p in outcomes.items())
+    dead = tuple(sa for sa, (_, psi) in zip((1, -1), rows) if psi is None)
+    return MeasurementOutcomeTable(outcomes=outcomes, correlator=correlator, dead_branches=dead,
+                                   metadata={"protocol": protocol, "t1": t1, "t2": t2})
 
 
 # ---------------------------------------------------------------------------
@@ -188,35 +204,34 @@ def switching_correlator(psi0, h1: HamiltonianFunction, h2: HamiltonianFunction,
         raise ValueError("outcome tables need finite detection times on both particles")
     obs_x = qstate.check_hermitian(obs_x, name="obs_x")
     obs_y = qstate.check_hermitian(obs_y, name="obs_y")
-    dir_a, dir_b = directions
-    ea = qstate.projector(dir_a)
-    eb = qstate.projector(dir_b)
     psi_f = switched_states(psi0, (h1, h2), ([t1], [t2]))[0]
-    outcomes = {}
-    for sa, eaop in zip((1, -1), ea):
-        for sb, ebop in zip((1, -1), eb):
-            outcomes[(sa, sb)] = qstate.expectation(psi_f, np.kron(eaop, ebop))
-    corr = qstate.expectation(psi_f, np.kron(obs_x, obs_y))
-    return _assemble_table(outcomes, corr, metadata={"protocol": "switching", "t1": t1, "t2": t2})
+    return _outcome_table("switching", t1, t2, [(1.0, psi_f)] * 2, directions,
+                          correlator=qstate.expectation(psi_f, np.kron(obs_x, obs_y)))
 
 
-def zeno_branches(psi0, h1, h2, t1, direction_a):
-    """Joint state at t1 and the renormalized +- branches of the projection.
+def zeno_branches(psi0, h1, h2, t1, direction_a, taus):
+    """The renormalized +- branches of projecting particle #1 at t1, evolved on.
 
-    Returns ``(psi_t1, [(sign, weight, state or None), ...])``; a branch whose
-    projection weight falls below ``DEAD_BRANCH_TOL`` carries ``None``.
+    The pair evolves jointly and unswitched to t1, where particle #1 is
+    projected along ``direction_a`` and frozen; in each branch particle #2
+    then evolves from its branch-conditioned reduced state for every duration
+    in ``taus``. Returns ``[(sign, weight, states or None), ...]`` with
+    (len(taus), 4) ``states``; a branch whose projection weight falls below
+    ``DEAD_BRANCH_TOL`` carries ``None``.
     """
     psi_t1 = switched_states(psi0, (h1, h2), ([t1], [t1]))[0]
-    eye2 = qstate.identity(2)
     branches = []
     for sign, e in zip((1, -1), qstate.projector(direction_a)):
-        v = np.kron(e, eye2) @ psi_t1
+        v = np.kron(e, qstate.identity(2)) @ psi_t1
         w = float(np.vdot(v, v).real)
         if w < DEAD_BRANCH_TOL:
             branches.append((sign, 0.0, None))
-        else:
-            branches.append((sign, w, v / np.sqrt(w)))
-    return psi_t1, branches
+            continue
+        v = v / np.sqrt(w)
+        u2 = propagator_family(h2, qstate.partial_trace(np.outer(v, v.conj()), (2, 2), 2), taus)
+        # kron(I, u2) @ v for every duration at once
+        branches.append((sign, w, (v.reshape(2, 2) @ u2.transpose(0, 2, 1)).reshape(-1, 4)))
+    return branches
 
 
 def zeno_correlator(psi0, h1: HamiltonianFunction, h2: HamiltonianFunction,
@@ -233,26 +248,9 @@ def zeno_correlator(psi0, h1: HamiltonianFunction, h2: HamiltonianFunction,
     _validate_protocol_times(t1, t2)
     if not (math.isfinite(t1) and math.isfinite(t2)):
         raise ValueError("outcome tables need finite detection times on both particles")
-    eye2 = qstate.identity(2)
-    _, branches = zeno_branches(psi0, h1, h2, t1, direction_a)
-    ea_by_sign = dict(zip((1, -1), qstate.projector(direction_a)))
-    eb = qstate.projector(direction_b)
-    outcomes = {}
-    dead = []
-    for sign_a, w, v in branches:
-        if v is None:
-            dead.append(sign_a)
-            for sb in (1, -1):
-                outcomes[(sign_a, sb)] = 0.0
-            continue
-        rho2 = qstate.partial_trace(np.outer(v, v.conj()), (2, 2), keep=2)
-        u2 = propagator_family(h2, rho2, [t2 - t1])[0]
-        vt = np.kron(eye2, u2) @ v
-        for sb, ebop in zip((1, -1), eb):
-            outcomes[(sign_a, sb)] = w * qstate.expectation(vt, np.kron(ea_by_sign[sign_a], ebop))
-    corr = sum(sa * sb * p for (sa, sb), p in outcomes.items())
-    return _assemble_table(outcomes, corr, dead=tuple(dead),
-                           metadata={"protocol": "zeno", "t1": t1, "t2": t2})
+    rows = [(w, None if states is None else states[0])
+            for _, w, states in zeno_branches(psi0, h1, h2, t1, direction_a, [t2 - t1])]
+    return _outcome_table("zeno", t1, t2, rows, (direction_a, direction_b))
 
 
 def _check_series_inputs(protocol: str, t1: float, t2: float, t_grid) -> np.ndarray:
@@ -281,11 +279,8 @@ def _series_states(protocol: str, psi0, h1, h2, t1, t2, t_grid, direction_a):
         raise ValueError(f"unknown protocol {protocol!r}")
     pre = t_grid[t_grid <= t1]
     post = np.minimum(t_grid[t_grid > t1], t2) - t1
-    _, branches = zeno_branches(psi0, h1, h2, t1, direction_a)
-    return switched_states(psi0, (h1, h2), (pre, pre)), [
-        (sign, w, None if v is None else switched_states(v, (h1, h2), (np.zeros_like(post), post)))
-        for sign, w, v in branches
-    ]
+    return (switched_states(psi0, (h1, h2), (pre, pre)),
+            zeno_branches(psi0, h1, h2, t1, direction_a, post))
 
 
 def reduced_state_series(protocol: str, psi0, h1: HamiltonianFunction,
@@ -309,17 +304,15 @@ def reduced_state_series(protocol: str, psi0, h1: HamiltonianFunction,
 def ensemble_average_trajectory(protocol: str, psi0, h1: HamiltonianFunction,
                                 h2: HamiltonianFunction, t1: float, t2: float,
                                 observables: dict[str, np.ndarray], t_grid,
-                                direction_a=(1.0, 0.0, 0.0),
-                                branch: str | int = "mixture") -> Trajectory:
+                                direction_a=(1.0, 0.0, 0.0)) -> Trajectory:
     """Observable averages along either protocol on a time grid.
 
     Switching: single-branch expectations in the switched state. Zeno: for
     t <= t1 the joint unswitched evolution; afterwards the
-    probability-weighted mixture over the two projection branches (pass
-    ``branch=+1`` or ``-1`` to follow a single normalized branch instead).
-    The t1 measurement direction defaults to x. The switching protocol
-    accepts any pair of times (including +inf, never detected); the Zeno
-    protocol needs a finite t1 <= t2.
+    probability-weighted mixture over the two projection branches. The t1
+    measurement direction defaults to x. The switching protocol accepts any
+    pair of times (including +inf, never detected); the Zeno protocol needs
+    a finite t1 <= t2.
     """
     t_grid = _check_series_inputs(protocol, t1, t2, t_grid)
     psi0 = qstate.check_state(psi0)
@@ -336,21 +329,13 @@ def ensemble_average_trajectory(protocol: str, psi0, h1: HamiltonianFunction,
         meta["integrator"] = "closed-form switched propagator"
         return Trajectory(times=t_grid, states=head, observables=averages(head), metadata=meta)
 
-    if branch == "mixture":
-        weighted = [(w, states) for _, w, states in branches if states is not None]
-    else:
-        weighted = [(1.0, states) for sign, _, states in branches
-                    if sign == branch and states is not None]
-        if not weighted:
-            raise ValueError(f"branch {branch!r} unavailable (dead or unknown)")
     pre = averages(head)
-    post = [(w, averages(states)) for w, states in weighted]
+    post = [(w, averages(states)) for _, w, states in branches if states is not None]
     values = {name: np.concatenate([pre[name], sum(w * vals[name] for w, vals in post)])
               for name in obs}
 
     meta["integrator"] = "closed-form branch mixture"
     meta["direction_a"] = tuple(float(x) for x in np.asarray(direction_a, dtype=float))
-    meta["branch"] = branch
     meta["branch_weights"] = tuple(w for _, w, _ in branches)
     return Trajectory(times=t_grid, states=None, observables=values, metadata=meta)
 

@@ -101,42 +101,20 @@ def kron(a, b) -> np.ndarray:
     return np.kron(check_square(a, "first factor"), check_square(b, "second factor"))
 
 
-def reduced_density(rho, dims, keep: int) -> np.ndarray:
-    """Reduced matrix of the ``keep``-th (0-based) factor of a composite operator."""
+def partial_trace(rho, dims, keep: int) -> np.ndarray:
+    """Reduced matrix of factor ``keep`` (1-based) of a composite operator on ``dims``."""
     dims = tuple(int(d) for d in dims)
     a = check_square(rho, "composite matrix")
     if int(np.prod(dims)) != a.shape[0]:
         raise ValueError(f"dims {dims} do not factor dimension {a.shape[0]}")
-    if not 0 <= keep < len(dims):
+    if not 1 <= keep <= len(dims):
         raise ValueError(f"keep={keep} out of range for {len(dims)} subsystems")
     t = a.reshape(dims + dims)
     n = len(dims)
-    for j in sorted((i for i in range(len(dims)) if i != keep), reverse=True):
+    for j in sorted((i for i in range(len(dims)) if i != keep - 1), reverse=True):
         t = np.trace(t, axis1=j, axis2=j + n)
         n -= 1
     return t
-
-
-def partial_trace(rho, dims, keep: int) -> np.ndarray:
-    """Partial trace of a bipartite matrix.
-
-    Parameters
-    ----------
-    rho : array
-        Square matrix of dimension ``d1 * d2``.
-    dims : (d1, d2)
-        Subsystem dimensions.
-    keep : {1, 2}
-        Which subsystem survives (1-based).
-
-    Returns
-    -------
-    The reduced ``d1 x d1`` (keep=1) or ``d2 x d2`` (keep=2) matrix.
-    """
-    d1, d2 = (int(d) for d in dims)
-    if keep not in (1, 2):
-        raise ValueError("keep must be 1 or 2")
-    return reduced_density(rho, (d1, d2), keep - 1)
 
 
 def reduced_states(psis, dims, keep: int) -> np.ndarray:

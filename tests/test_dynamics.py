@@ -243,6 +243,22 @@ def test_exact_propagator_validation():
         dynamics.exact_pair_propagator(np.array([1, 0], dtype=complex), 1.0, 1.0, sched, 1.0)
 
 
+def test_exact_propagator_rejects_nan_and_unfrozen_infinite_time():
+    psi0 = qstate.tilted_pair_state()
+    detected = hamfun.SwitchingSchedule((1.0, 2.0), (2, 2))
+    for sched in (detected, hamfun.SwitchingSchedule((1.0, np.inf), (2, 2)),
+                  hamfun.SwitchingSchedule.never((2, 2))):
+        with pytest.raises(ValueError, match="finite"):
+            dynamics.exact_pair_propagator(psi0, 8.0, 0.5, sched, np.nan)
+    for sched in (hamfun.SwitchingSchedule((np.inf, 2.0), (2, 2)),
+                  hamfun.SwitchingSchedule.never((2, 2))):
+        with pytest.raises(ValueError, match="finite"):
+            dynamics.exact_pair_propagator(psi0, 8.0, 0.5, sched, np.inf)
+    # with both particles detected the state at t = inf is the frozen one
+    assert np.array_equal(dynamics.exact_pair_propagator(psi0, 8.0, 0.5, detected, np.inf),
+                          dynamics.exact_pair_propagator(psi0, 8.0, 0.5, detected, 3.0))
+
+
 # --- one-particle propagation helpers ---
 
 def test_propagator_family_conserved_matches_generic(rng):
@@ -281,8 +297,8 @@ def test_switched_states_pair_is_kron_product_bit_for_bit(rng):
         h1, h2 = hamfun.catalogue_entry(*e1), hamfun.catalogue_entry(*e2)
         tau1, tau2 = rng.uniform(0.0, 10.0, (2, 17))
         got = dynamics.switched_states(psi0, (h1, h2), (tau1, tau2))
-        u1 = dynamics.propagator_family(h1, qstate.reduced_density(rho, (2, 2), 0), tau1)
-        u2 = dynamics.propagator_family(h2, qstate.reduced_density(rho, (2, 2), 1), tau2)
+        u1 = dynamics.propagator_family(h1, qstate.partial_trace(rho, (2, 2), 1), tau1)
+        u2 = dynamics.propagator_family(h2, qstate.partial_trace(rho, (2, 2), 2), tau2)
         ref = np.stack([np.kron(a, b) @ psi0 for a, b in zip(u1, u2)])
         assert np.array_equal(got, ref)
 

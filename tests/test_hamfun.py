@@ -56,6 +56,14 @@ def test_kappa_never_sentinel():
         assert hamfun.kappa(t, math.inf) == t
 
 
+def test_kappa_rejects_nan():
+    with pytest.raises(ValueError, match="finite"):
+        hamfun.kappa(math.nan, 1.0)
+    with pytest.raises(ValueError, match="finite"):
+        hamfun.kappa(math.nan, math.inf)
+    assert hamfun.kappa(math.inf, 1.0) == 1.0
+
+
 def test_kappa_monotone(rng):
     tk = 2.5
     ts = np.sort(rng.uniform(0, 6, size=50))

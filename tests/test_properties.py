@@ -297,18 +297,23 @@ def locality_series_per_point(protocol, psi0, h1, h2, t1, t2, grid, keep, direct
     if protocol == "switching":
         return np.stack([reduced(dynamics.switched_states(
             psi0, (h1, h2), ([hamfun.kappa(t, t1)], [hamfun.kappa(t, t2)]))[0]) for t in grid])
-    _, branches = protocols.zeno_branches(psi0, h1, h2, t1, direction_a)
+    psi_t1 = dynamics.switched_states(psi0, (h1, h2), ([t1], [t1]))[0]
+    branches = []
+    for e in qstate.projector(direction_a):
+        v = np.kron(e, qstate.identity(2)) @ psi_t1
+        w = np.vdot(v, v).real
+        if w >= protocols.DEAD_BRANCH_TOL:
+            branches.append((w, v / np.sqrt(w)))
     series = []
     for t in grid:
         if t <= t1:
             series.append(reduced(dynamics.switched_states(psi0, (h1, h2), ([t], [t]))[0]))
             continue
         mix = np.zeros((2, 2), dtype=complex)
-        for _, w, v in branches:
-            if v is not None:
-                u2 = dynamics.propagator_family(
-                    h2, qstate.partial_trace(np.outer(v, v.conj()), (2, 2), keep=2), [min(t, t2) - t1])[0]
-                mix += w * reduced(np.kron(qstate.identity(2), u2) @ v)
+        for w, v in branches:
+            u2 = dynamics.propagator_family(
+                h2, qstate.partial_trace(np.outer(v, v.conj()), (2, 2), keep=2), [min(t, t2) - t1])[0]
+            mix += w * reduced(np.kron(qstate.identity(2), u2) @ v)
         series.append(mix)
     return np.stack(series)
 
@@ -329,6 +334,78 @@ def test_reduced_state_series_matches_per_point_formula(e1, e2, seed, n, dt, u1,
             got = protocols.reduced_state_series(*args)
             assert got.shape == (n, 2, 2)
             assert np.max(np.abs(got - locality_series_per_point(*args))) <= 1e-12
+
+
+def zeno_table_per_branch(psi0, h1, h2, t1, t2, direction_a, direction_b):
+    """The Zeno outcome table and dead branches, one branch and one kron product at a time."""
+    psi_t1 = dynamics.switched_states(psi0, (h1, h2), ([t1], [t1]))[0]
+    eye2 = qstate.identity(2)
+    outcomes, dead = {}, []
+    for sa, ea in zip((1, -1), qstate.projector(direction_a)):
+        v = np.kron(ea, eye2) @ psi_t1
+        w = float(np.vdot(v, v).real)
+        if w < protocols.DEAD_BRANCH_TOL:
+            dead.append(sa)
+            outcomes.update({(sa, 1): 0.0, (sa, -1): 0.0})
+            continue
+        v = v / np.sqrt(w)
+        rho2 = qstate.partial_trace(np.outer(v, v.conj()), (2, 2), keep=2)
+        vt = np.kron(eye2, dynamics.propagator_family(h2, rho2, [t2 - t1])[0]) @ v
+        for sb, eb in zip((1, -1), qstate.projector(direction_b)):
+            outcomes[(sa, sb)] = w * qstate.expectation(vt, np.kron(ea, eb))
+    return outcomes, tuple(dead)
+
+
+def unit_vector(seed):
+    v = np.random.default_rng(seed).normal(size=3)
+    return v / np.linalg.norm(v)
+
+
+@st.composite
+def zeno_setups(draw):
+    """Random pair, generators, times and axes; some pairs start on an eigenstate of
+    the first axis at t1 = 0, so that one projection branch is dead."""
+    h1, h2 = (hamfun.catalogue_entry(*draw(catalogue)) for _ in range(2))
+    da, db = unit_vector(draw(seeds)), unit_vector(draw(seeds))
+    t2 = draw(st.floats(0.0, 6.0))
+    if draw(st.booleans()):
+        e = qstate.projector(da)[draw(st.integers(0, 1))]
+        up = e[:, np.argmax(np.linalg.norm(e, axis=0))]
+        psi0 = np.kron(up / np.linalg.norm(up), random_unitary(draw(seeds), 2)[:, 0])
+        return psi0, h1, h2, 0.0, t2, da, db
+    return pair_state(draw(seeds)), h1, h2, draw(st.floats(0.0, 1.0)) * t2, t2, da, db
+
+
+@FAST
+@given(zeno_setups())
+def test_zeno_correlator_matches_per_branch_table(setup):
+    table = protocols.zeno_correlator(*setup)
+    outcomes, dead = zeno_table_per_branch(*setup)
+    assert table.dead_branches == dead
+    for key, p in outcomes.items():
+        assert abs(table.outcomes[key] - p) <= 1e-14
+    for sa in dead:
+        assert table.outcomes[(sa, 1)] == table.outcomes[(sa, -1)] == 0.0
+
+
+@FAST
+@given(zeno_setups())
+def test_table_marginals_match_reduced_state_series(setup):
+    psi0, h1, h2, t1, t2, da, db = setup
+    tables = {
+        "switching": protocols.switching_correlator(
+            psi0, h1, h2, t1, t2, qstate.pauli_vector(da), qstate.pauli_vector(db), (da, db)),
+        "zeno": protocols.zeno_correlator(psi0, h1, h2, t1, t2, da, db),
+    }
+    for protocol, table in tables.items():
+        rho2 = protocols.reduced_state_series(
+            protocol, psi0, h1, h2, t1, t2, [t2], keep=2, direction_a=da)[0]
+        for sb, eb in zip((1, -1), qstate.projector(db)):
+            assert abs(table.marginal("second", sb) - np.trace(eb @ rho2).real) <= 1e-13
+    weights = protocols.ensemble_average_trajectory(
+        "zeno", psi0, h1, h2, t1, t2, {}, [t2], direction_a=da).metadata["branch_weights"]
+    for sa, w in zip((1, -1), weights):
+        assert abs(tables["zeno"].marginal("first", sa) - w) <= 1e-13
 
 
 # --- state right-hand sides ---
@@ -408,13 +485,13 @@ def test_switched_states_matches_multiparty_integrator(setup):
 
 @SETTINGS
 @given(st.lists(st.integers(2, 3), min_size=2, max_size=3), st.integers(1, 5), seeds, st.data())
-def test_reduced_states_match_reduced_density(dims, n, seed, data):
+def test_reduced_states_match_partial_trace(dims, n, seed, data):
     keep = data.draw(st.integers(1, len(dims)))
     psis = np.stack([random_unitary(seed + i, int(np.prod(dims)))[:, 0] for i in range(n)])
     got = qstate.reduced_states(psis, dims, keep)
     assert got.shape == (n, dims[keep - 1], dims[keep - 1])
     for psi, rho in zip(psis, got):
-        ref = qstate.reduced_density(np.outer(psi, psi.conj()), dims, keep - 1)
+        ref = qstate.partial_trace(np.outer(psi, psi.conj()), dims, keep)
         assert np.max(np.abs(rho - ref)) <= 1e-14
 
 

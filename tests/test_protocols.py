@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -82,6 +83,18 @@ def test_history_rejects_non_projector(rng):
         protocols.HistorySpec(((1.0, 0.5 * I2),), gen, 2.0)
     with pytest.raises(ValueError):
         protocols.HistorySpec(((2.0, I2.copy()), (1.0, I2.copy())), gen, 3.0)
+
+
+def test_history_rejects_non_finite_times(rng):
+    gen = random_hermitian(rng, 2)
+    for bad in (math.nan, math.inf, -math.inf):
+        for events, final in ((((bad, I2.copy()), (2.0, I2.copy())), 3.0),
+                              (((1.0, I2.copy()), (bad, I2.copy())), 3.0),
+                              (((1.0, I2.copy()), (2.0, I2.copy())), bad)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                with pytest.raises(ValueError):
+                    protocols.HistorySpec(events, gen, final)
 
 
 # --- correlator tables ---
@@ -173,8 +186,15 @@ def test_table_probabilities_sum_to_one(rng):
 def test_table_rejects_inconsistent_correlator():
     outcomes = {(1, 1): 0.5, (1, -1): 0.0, (-1, 1): 0.0, (-1, -1): 0.5}
     with pytest.raises(ValueError):
-        protocols.MeasurementOutcomeTable(
-            outcomes=outcomes, marginals={}, correlator=0.0)
+        protocols.MeasurementOutcomeTable(outcomes=outcomes, correlator=0.0)
+
+
+def test_table_marginal_rejects_unknown_particle():
+    outcomes = {(1, 1): 0.5, (1, -1): 0.0, (-1, 1): 0.0, (-1, -1): 0.5}
+    table = protocols.MeasurementOutcomeTable(outcomes=outcomes, correlator=1.0)
+    assert table.marginal("first", 1) == table.marginal("second", -1) == 0.5
+    with pytest.raises(ValueError, match="unknown particle"):
+        table.marginal("third", 1)
 
 
 # --- ensemble trajectories ---
@@ -226,22 +246,6 @@ def test_zeno_nonlocal_gap_exists():
     mask = (grid > 3.5) & (grid <= 8.0)
     gap = np.max(np.abs(sw.column("1x")[mask] - ze.column("1x")[mask]))
     assert gap > 1e-3
-
-
-def test_zeno_branch_modes_recombine_to_mixture():
-    psi0 = qstate.tilted_pair_state()
-    h1, h2 = quad_pair()
-    obs = {"1x": np.kron(I2, qstate.sigma_x)}
-    grid = np.array([4.0, 6.0, 9.0])
-    mix = protocols.ensemble_average_trajectory(
-        "zeno", psi0, h1, h2, 3.5, 8.0, obs, grid, direction_a=XHAT)
-    parts = {}
-    for sign in (1, -1):
-        parts[sign] = protocols.ensemble_average_trajectory(
-            "zeno", psi0, h1, h2, 3.5, 8.0, obs, grid, direction_a=XHAT, branch=sign)
-    weights = dict(zip((1, -1), mix.metadata["branch_weights"]))
-    recombined = (weights[1] * parts[1].column("1x") + weights[-1] * parts[-1].column("1x"))
-    assert np.max(np.abs(recombined - mix.column("1x"))) <= 1e-12
 
 
 def test_trajectory_rejects_bad_inputs():
