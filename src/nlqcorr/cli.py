@@ -318,7 +318,7 @@ def run_figure(cfg: dict, protocol: str) -> int:
     h1, h2 = _figure_hamiltonians(cfg)
     traj = protocols.ensemble_average_trajectory(
         protocol, psi0, h1, h2, t1, t2,
-        _figure_observables(), grid, direction_a=cfg["direction_a"],
+        _figure_observables(), grid, cfg["direction_a"], cfg["direction_b"],
     )
     rows = zip(grid, traj.column("exp_xx"), traj.column("exp_x1"), traj.column("exp_1x"))
     _write_result(cfg, "figure2" if protocol == "switching" else "figure3",
@@ -361,14 +361,16 @@ def run_locality_check(cfg: dict) -> int:
     kind = "linear-z" if cfg["linear_mode"] else "quadratic-z"
     h1 = catalogue_entry(kind, cfg["A"])
     protocol = cfg["protocol"]
+    b_values, t2_values = cfg["b_values"], cfg["t2_values"]
+    if protocol == "zeno" and min(t2_values) < cfg["t1"]:
+        # the quantity is #2's response to the measurement of #1 at t1
+        raise ConfigError("need t1 <= t2")
 
     def series(b_coef, t2, keep, protocol="switching"):
         h2 = catalogue_entry(kind, b_coef)
         return protocols.reduced_state_series(
             protocol, psi0, h1, h2, cfg["t1"], t2, grid, keep, cfg["direction_a"])
 
-    b_values = cfg["b_values"]
-    t2_values = cfg["t2_values"]
     sweep = [(b_coef, t2) for b_coef in b_values for t2 in t2_values]
     if protocol == "switching":
         baseline = series(b_values[0], t2_values[0], keep=1)
@@ -424,7 +426,7 @@ def run_history_check(cfg: dict) -> int:
         b /= np.linalg.norm(b)
         w = rng.uniform(0.2, 0.8)
         rho0 = w * np.outer(a, a.conj()) + (1 - w) * np.outer(b, b.conj())
-        spec = protocols.HistorySpec(tuple(projs), gen, float(times[-1]) + 0.5)
+        spec = protocols.HistorySpec(tuple(projs), gen)
         pu = protocols.history_probability_unitary(spec, rho0)
         pp = protocols.history_probability_projected(spec, rho0)
         devs.append(abs(pu - pp))
@@ -509,7 +511,7 @@ COMMANDS = {
         "dist": ("0.25,0.25,0.25,0.25", _dist),
     }, run_entropy_sweep),
     "locality-check": ("reduced-state invariance sweep", {
-        **_FIGURE_SPEC,
+        **{key: val for key, val in _FIGURE_SPEC.items() if key != "direction_b"},
         "dt": ("0.05", _positive_float),
         "protocol": ("switching", _choice(("switching", "zeno"))),
         "b_values": ("0,0.5,5", _floats),

@@ -67,11 +67,6 @@ class Trajectory:
     def column(self, name: str) -> np.ndarray:
         return self.observables[name]
 
-    def norms(self) -> np.ndarray:
-        if self.states is None or self.states.ndim != 2:
-            raise ValueError("trajectory does not carry state vectors")
-        return np.linalg.norm(self.states, axis=1)
-
 
 def _as_switched(h, dim: int) -> SwitchedHamiltonian:
     if isinstance(h, SwitchedHamiltonian):

@@ -361,15 +361,6 @@ class SwitchingSchedule:
         object.__setattr__(self, "detection_times", times)
         object.__setattr__(self, "subsystem_dims", dims)
 
-    @classmethod
-    def never(cls, dims) -> "SwitchingSchedule":
-        dims = tuple(int(d) for d in dims)
-        return cls((math.inf,) * len(dims), dims)
-
-    @property
-    def composite_dim(self) -> int:
-        return int(np.prod(self.subsystem_dims))
-
 
 class SwitchedHamiltonian:
     """Time-parametrized composite sum_k theta(t - t_k) H_k(rho_k).
@@ -401,9 +392,6 @@ class SwitchedHamiltonian:
     @property
     def labels(self) -> tuple[str, ...]:
         return tuple(p.label for p in self.parts)
-
-    def active(self, t: float) -> tuple[bool, ...]:
-        return tuple(bool(theta(t - tk)) for tk in self.detection_times)
 
     def energy(self, t: float, rho) -> float:
         rho = np.asarray(rho, dtype=complex)

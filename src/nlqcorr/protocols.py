@@ -1,20 +1,21 @@
 """Measurement protocols for two-time correlations on entangled qubit pairs.
 
 Two rival recipes for the joint statistics of measuring particle #1 at t1 and
-particle #2 at t2 > t1; one reader builds the outcome tables of both from a
-(weight, state) row per sign of particle #1:
+particle #2 at t2, in either order; one reader builds the outcome tables of
+both from a (weight, state) row per sign of the particle detected first:
 
 * the switching protocol keeps the joint evolution unitary and simply shuts
   each particle's generator off at its detection time, reading all outcome
   probabilities from the final frozen state;
-* the Zeno protocol projects the joint state at t1, renormalizes each branch
-  and lets particle #2 continue with the branch-conditioned generator; its
-  tables and curves share this one branch evolution, ``zeno_branches``.
+* the Zeno protocol projects the joint state when the first particle is
+  detected (#1 on a tie), renormalizes each branch and lets the other
+  particle continue with the branch-conditioned generator; its tables and
+  curves share this one branch evolution, ``zeno_branches``.
 
 For bilinear (linear quantum mechanics) Hamiltonian functions the two agree
 identically; for genuinely nonlinear functions the Zeno route develops a
-nonlocal response of particle #2 to the distant measurement while the
-switching route stays local.
+nonlocal response of the later-detected particle to the distant measurement
+while the switching route stays local.
 
 Also here: multi-time history probabilities in their unitary-filter and
 Heisenberg-projected forms, and a pre/post-selection mean-field demonstration.
@@ -51,7 +52,6 @@ class HistorySpec:
 
     projectors: tuple[tuple[float, np.ndarray], ...]
     free_generator: np.ndarray
-    final_time: float
 
     def __post_init__(self):
         gen = qstate.check_hermitian(self.free_generator, name="free generator")
@@ -72,10 +72,6 @@ class HistorySpec:
             events.append((t, e))
         if not events:
             raise ValueError("history needs at least one projector")
-        if not math.isfinite(self.final_time):
-            raise ValueError(f"final_time must be finite, got {self.final_time!r}")
-        if self.final_time < prev:
-            raise ValueError("final_time must not precede the last projector")
         object.__setattr__(self, "projectors", tuple(events))
         object.__setattr__(self, "free_generator", gen)
 
@@ -157,21 +153,23 @@ class MeasurementOutcomeTable:
         return sum(p for key, p in self.outcomes.items() if key[axis] == sign)
 
 
-def _outcome_table(protocol: str, t1: float, t2: float, rows, directions,
+def _outcome_table(protocol: str, t1: float, t2: float, rows, directions, first: int = 1,
                    correlator: float | None = None) -> MeasurementOutcomeTable:
-    """p(s, s') = w_s <psi_s| E_s (x) E_s' |psi_s> from one row (w_s, psi_s) per sign s.
+    """p(s1, s2) = w_s <psi_s| E_s1 (x) E_s2 |psi_s> from one row (w_s, psi_s) per sign s.
 
-    A row whose state is None is a dead branch: it reads exact zeros and is
-    flagged. ``correlator`` defaults to sum_{s,s'} s s' p(s, s').
+    ``s`` is the sign of particle ``first`` (1 or 2). A row whose state is
+    None is a dead branch: it reads exact zeros and is flagged. ``correlator``
+    defaults to sum_{s1,s2} s1 s2 p(s1, s2).
     """
+    e1, e2 = (dict(zip((1, -1), qstate.projector(d))) for d in directions)
     outcomes = {}
-    eb = qstate.projector(directions[1])
-    for sa, ea, (w, psi) in zip((1, -1), qstate.projector(directions[0]), rows):
-        for sb, ebop in zip((1, -1), eb):
-            outcomes[(sa, sb)] = 0.0 if psi is None else w * qstate.expectation(psi, np.kron(ea, ebop))
+    for s, (w, psi) in zip((1, -1), rows):
+        for other in (1, -1):
+            s1, s2 = (s, other) if first == 1 else (other, s)
+            outcomes[(s1, s2)] = 0.0 if psi is None else w * qstate.expectation(psi, np.kron(e1[s1], e2[s2]))
     if correlator is None:
-        correlator = sum(sa * sb * p for (sa, sb), p in outcomes.items())
-    dead = tuple(sa for sa, (_, psi) in zip((1, -1), rows) if psi is None)
+        correlator = sum(s1 * s2 * p for (s1, s2), p in outcomes.items())
+    dead = tuple(s for s, (_, psi) in zip((1, -1), rows) if psi is None)
     return MeasurementOutcomeTable(outcomes=outcomes, correlator=correlator, dead_branches=dead,
                                    metadata={"protocol": protocol, "t1": t1, "t2": t2})
 
@@ -180,11 +178,9 @@ def _outcome_table(protocol: str, t1: float, t2: float, rows, directions,
 # the two rival protocols
 
 
-def _validate_protocol_times(t1: float, t2: float, ordered: bool = True):
+def _validate_protocol_times(t1: float, t2: float):
     if not (t1 >= 0 and t2 >= 0):
         raise ValueError("detection times must be >= 0")
-    if ordered and not t1 <= t2:
-        raise ValueError("need t1 <= t2")
 
 
 def switching_correlator(psi0, h1: HamiltonianFunction, h2: HamiltonianFunction,
@@ -199,7 +195,7 @@ def switching_correlator(psi0, h1: HamiltonianFunction, h2: HamiltonianFunction,
     the single-particle observables (unit spins along those axes for a
     consistent table).
     """
-    _validate_protocol_times(t1, t2, ordered=False)
+    _validate_protocol_times(t1, t2)
     if not (math.isfinite(t1) and math.isfinite(t2)):
         raise ValueError("outcome tables need finite detection times on both particles")
     obs_x = qstate.check_hermitian(obs_x, name="obs_x")
@@ -209,91 +205,104 @@ def switching_correlator(psi0, h1: HamiltonianFunction, h2: HamiltonianFunction,
                           correlator=qstate.expectation(psi_f, np.kron(obs_x, obs_y)))
 
 
-def zeno_branches(psi0, h1, h2, t1, direction_a, taus):
-    """The renormalized +- branches of projecting particle #1 at t1, evolved on.
+def zeno_branches(psi0, h1, h2, t1, t2, direction_a, direction_b, times):
+    """The renormalized +- branches of projecting the first-detected particle, evolved on.
 
-    The pair evolves jointly and unswitched to t1, where particle #1 is
-    projected along ``direction_a`` and frozen; in each branch particle #2
-    then evolves from its branch-conditioned reduced state for every duration
-    in ``taus``. Returns ``[(sign, weight, states or None), ...]`` with
-    (len(taus), 4) ``states``; a branch whose projection weight falls below
+    The pair evolves jointly and unswitched to the first detection time
+    min(t1, t2), where the particle detected first (#1 on a tie) is projected
+    along its axis and frozen; in each branch the other particle then evolves
+    from its branch-conditioned reduced state up to each of ``times``, and
+    stops at its own detection time. Returns ``(first, [(sign, weight, states
+    or None), ...])``: ``first`` is the projected particle (1 or 2), ``sign``
+    its outcome, and ``states`` the (len(times), 4) pair states in (#1, #2)
+    factor order; a branch whose projection weight falls below
     ``DEAD_BRANCH_TOL`` carries ``None``.
     """
-    psi_t1 = switched_states(psi0, (h1, h2), ([t1], [t1]))[0]
+    first, h_other, axis = (1, h2, direction_a) if t1 <= t2 else (2, h1, direction_b)
+    t_first, t_other = min(t1, t2), max(t1, t2)
+    if not math.isfinite(t_first):
+        raise ValueError("the Zeno protocol needs a finite first detection time")
+    psi = switched_states(psi0, (h1, h2), ([t_first], [t_first]))[0].reshape(2, 2)
+    # the #1-first arithmetic with the projected particle as factor one: exchanging
+    # the factors of a pair state is the exact transpose of its 2x2 form
+    psi = (psi if first == 1 else psi.T).reshape(-1)
+    taus = np.minimum(times, t_other) - t_first
     branches = []
-    for sign, e in zip((1, -1), qstate.projector(direction_a)):
-        v = np.kron(e, qstate.identity(2)) @ psi_t1
+    for sign, e in zip((1, -1), qstate.projector(axis)):
+        v = np.kron(e, qstate.identity(2)) @ psi
         w = float(np.vdot(v, v).real)
         if w < DEAD_BRANCH_TOL:
             branches.append((sign, 0.0, None))
             continue
         v = v / np.sqrt(w)
-        u2 = propagator_family(h2, qstate.partial_trace(np.outer(v, v.conj()), (2, 2), 2), taus)
-        # kron(I, u2) @ v for every duration at once
-        branches.append((sign, w, (v.reshape(2, 2) @ u2.transpose(0, 2, 1)).reshape(-1, 4)))
-    return branches
+        u = propagator_family(h_other, qstate.partial_trace(np.outer(v, v.conj()), (2, 2), 2), taus)
+        # kron(I, u) @ v for every duration at once, then back in (#1, #2) order
+        states = v.reshape(2, 2) @ u.transpose(0, 2, 1)
+        branches.append((sign, w, (states if first == 1 else states.transpose(0, 2, 1)).reshape(-1, 4)))
+    return first, branches
 
 
 def zeno_correlator(psi0, h1: HamiltonianFunction, h2: HamiltonianFunction,
                     t1: float, t2: float, direction_a, direction_b) -> MeasurementOutcomeTable:
     """Joint outcome table of the Zeno-projection protocol.
 
-    Evolves jointly (unswitched) to t1, projects particle #1 along
-    ``direction_a`` and renormalizes each branch, then evolves particle #2
-    alone from the branch-conditioned reduced state to t2. The joint
+    Evolves jointly (unswitched) to the first detection, projects the
+    particle detected first (#1 on a tie) along its axis and renormalizes
+    each branch, then evolves the other particle alone from the
+    branch-conditioned reduced state to its own detection. The joint
     probability is the branch weight times the conditional probability.
     Branches annihilated by the projection (weight below ``DEAD_BRANCH_TOL``)
-    contribute zero and are flagged in ``dead_branches``.
+    contribute zero; ``dead_branches`` holds their signs of the particle
+    detected first.
     """
     _validate_protocol_times(t1, t2)
     if not (math.isfinite(t1) and math.isfinite(t2)):
         raise ValueError("outcome tables need finite detection times on both particles")
-    rows = [(w, None if states is None else states[0])
-            for _, w, states in zeno_branches(psi0, h1, h2, t1, direction_a, [t2 - t1])]
-    return _outcome_table("zeno", t1, t2, rows, (direction_a, direction_b))
+    # read after both detections, where the pair state is frozen
+    first, branches = zeno_branches(psi0, h1, h2, t1, t2, direction_a, direction_b, [math.inf])
+    rows = [(w, None if states is None else states[0]) for _, w, states in branches]
+    return _outcome_table("zeno", t1, t2, rows, (direction_a, direction_b), first)
 
 
-def _check_series_inputs(protocol: str, t1: float, t2: float, t_grid) -> np.ndarray:
-    _validate_protocol_times(t1, t2, ordered=(protocol == "zeno"))
-    if protocol == "zeno" and not math.isfinite(t1):
-        raise ValueError("the Zeno protocol needs a finite measurement time t1")
+def _check_series_inputs(t1: float, t2: float, t_grid) -> np.ndarray:
+    _validate_protocol_times(t1, t2)
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.ndim != 1 or t_grid.size < 1 or np.any(np.diff(t_grid) <= 0) or t_grid[0] < 0:
         raise ValueError("t_grid must be non-negative and strictly increasing")
     return t_grid
 
 
-def _series_states(protocol: str, psi0, h1, h2, t1, t2, t_grid, direction_a):
+def _series_states(protocol: str, psi0, h1, h2, t1, t2, t_grid, direction_a, direction_b):
     """Pair states of either protocol on a grid, as ``(head, branches)``.
 
     Switching: ``head`` holds the switched pair state at every grid time and
     there are no branches. Zeno: ``head`` holds the joint unswitched states at
-    the grid times t <= t1, and each projection branch gives ``(sign, weight,
-    states)`` at the later times: particle #1 frozen at t1, particle #2
-    evolved from the branch-conditioned state for min(t, t2) - t1. A dead
-    branch carries ``None``.
+    the grid times up to the first detection, and each projection branch of
+    :func:`zeno_branches` gives ``(sign, weight, states)`` at the later times.
+    A dead branch carries ``None``.
     """
     if protocol == "switching":
         return switched_states(psi0, (h1, h2), (np.minimum(t_grid, t1), np.minimum(t_grid, t2))), []
     if protocol != "zeno":
         raise ValueError(f"unknown protocol {protocol!r}")
-    pre = t_grid[t_grid <= t1]
-    post = np.minimum(t_grid[t_grid > t1], t2) - t1
-    return (switched_states(psi0, (h1, h2), (pre, pre)),
-            zeno_branches(psi0, h1, h2, t1, direction_a, post))
+    pre = t_grid <= min(t1, t2)
+    return (switched_states(psi0, (h1, h2), (t_grid[pre], t_grid[pre])),
+            zeno_branches(psi0, h1, h2, t1, t2, direction_a, direction_b, t_grid[~pre])[1])
 
 
 def reduced_state_series(protocol: str, psi0, h1: HamiltonianFunction,
                          h2: HamiltonianFunction, t1: float, t2: float, t_grid,
-                         keep: int, direction_a=(1.0, 0.0, 0.0)) -> np.ndarray:
+                         keep: int, direction_a=(1.0, 0.0, 0.0),
+                         direction_b=(1.0, 0.0, 0.0)) -> np.ndarray:
     """Reduced matrices of particle ``keep`` (1 or 2) on a time grid, (n, 2, 2).
 
     Switching: the reduced state of the switched pair state. Zeno: the joint
-    unswitched evolution up to t1, then the probability-weighted mixture over
-    the two projection branches (see :func:`ensemble_average_trajectory`).
+    unswitched evolution up to the first detection, then the
+    probability-weighted mixture over the two projection branches (see
+    :func:`ensemble_average_trajectory`).
     """
-    t_grid = _check_series_inputs(protocol, t1, t2, t_grid)
-    head, branches = _series_states(protocol, psi0, h1, h2, t1, t2, t_grid, direction_a)
+    t_grid = _check_series_inputs(t1, t2, t_grid)
+    head, branches = _series_states(protocol, psi0, h1, h2, t1, t2, t_grid, direction_a, direction_b)
     parts = [qstate.reduced_states(head, (2, 2), keep)]
     if branches:
         parts.append(sum(w * qstate.reduced_states(states, (2, 2), keep)
@@ -304,17 +313,19 @@ def reduced_state_series(protocol: str, psi0, h1: HamiltonianFunction,
 def ensemble_average_trajectory(protocol: str, psi0, h1: HamiltonianFunction,
                                 h2: HamiltonianFunction, t1: float, t2: float,
                                 observables: dict[str, np.ndarray], t_grid,
-                                direction_a=(1.0, 0.0, 0.0)) -> Trajectory:
+                                direction_a=(1.0, 0.0, 0.0),
+                                direction_b=(1.0, 0.0, 0.0)) -> Trajectory:
     """Observable averages along either protocol on a time grid.
 
-    Switching: single-branch expectations in the switched state. Zeno: for
-    t <= t1 the joint unswitched evolution; afterwards the
-    probability-weighted mixture over the two projection branches. The t1
-    measurement direction defaults to x. The switching protocol accepts any
-    pair of times (including +inf, never detected); the Zeno protocol needs
-    a finite t1 <= t2.
+    Switching: single-branch expectations in the switched state. Zeno: up to
+    the first detection the joint unswitched evolution; afterwards the
+    probability-weighted mixture over the two projection branches of the
+    particle detected first (#1 on a tie), measured along ``direction_a``
+    (#1) or ``direction_b`` (#2), both x by default. Both protocols accept
+    the two times in either order; +inf means never detected, and the Zeno
+    protocol needs a finite first detection.
     """
-    t_grid = _check_series_inputs(protocol, t1, t2, t_grid)
+    t_grid = _check_series_inputs(t1, t2, t_grid)
     psi0 = qstate.check_state(psi0)
     obs = qstate.check_observables(observables)
     meta = {"protocol": protocol, "t1": t1, "t2": t2,
@@ -324,7 +335,7 @@ def ensemble_average_trajectory(protocol: str, psi0, h1: HamiltonianFunction,
         return {name: np.einsum("ti,ij,tj->t", states.conj(), op, states).real
                 for name, op in obs.items()}
 
-    head, branches = _series_states(protocol, psi0, h1, h2, t1, t2, t_grid, direction_a)
+    head, branches = _series_states(protocol, psi0, h1, h2, t1, t2, t_grid, direction_a, direction_b)
     if protocol == "switching":
         meta["integrator"] = "closed-form switched propagator"
         return Trajectory(times=t_grid, states=head, observables=averages(head), metadata=meta)

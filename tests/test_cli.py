@@ -88,8 +88,15 @@ def test_figure2_table_matches_frozen_csv_in_either_detection_order(tmp_path, ca
         _, cols = read_csv(out)
         # with direction x on both particles the correlator is <xx> in the frozen final state
         assert abs(corr - cols["exp_xx"][-1]) <= 1e-10
-    # the Zeno protocol keeps its ordered detections
-    assert run(["figure3", "--t1", "8", "--t2", "3.5", "--out", out]) == 1
+    # the Zeno protocol runs in either order too: it projects whichever particle is detected first
+    for t1, t2 in (("8", "3.5"), ("6", "4")):
+        assert run(["figure3", "--t1", t1, "--t2", t2, "--out", out]) == 0
+        corr = float(capsys.readouterr().out.split("correlator =")[1].split()[0])
+        _, cols = read_csv(out)
+        assert abs(corr - cols["exp_xx"][-1]) <= 1e-10
+    assert run(["figure3", "--t1", "inf", "--t2", "5", "--out", out]) == 0
+    assert "no joint outcome table" in capsys.readouterr().out
+    assert run(["figure3", "--t1", "inf", "--t2", "inf", "--out", out]) == 1
 
 
 # --- figure3 ---
@@ -175,6 +182,14 @@ def test_locality_check_singlet_passes_both(capsys):
     for protocol in ("switching", "zeno"):
         assert run(["locality-check", "--protocol", protocol, "--state", "singlet"]) == 0
         assert "verdict = PASS" in capsys.readouterr().out
+
+
+def test_locality_check_zeno_needs_ordered_detections(capsys):
+    # the Zeno quantity is #2's response to the measurement of #1 at t1
+    for t1, t2_values in (("6", "5,8"), ("inf", "5")):
+        assert run(["locality-check", "--protocol", "zeno", "--t1", t1, "--t2-values", t2_values]) == 1
+        assert "need t1 <= t2" in capsys.readouterr().err
+    assert run(["locality-check", "--protocol", "zeno", "--t1", "5", "--t2-values", "5,8"]) == 0
 
 
 # --- teleport demo ---
@@ -314,7 +329,7 @@ HELP_FLAGS = {
                 "--direction-a", "--direction-b", "--linear-mode"],
     "entropy-sweep": ["--config", "--out", "--alpha-range", "--dist"],
     "locality-check": ["--config", "--state", "--A", "--B", "--t1", "--t2", "--t-end", "--dt",
-                       "--direction-a", "--direction-b", "--linear-mode", "--protocol",
+                       "--direction-a", "--linear-mode", "--protocol",
                        "--b-values", "--t2-values"],
     "teleport-demo": ["--config", "--state", "--pairs", "--selection", "--direction-a", "--keep",
                       "--coupling", "--seed"],

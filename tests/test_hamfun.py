@@ -7,6 +7,7 @@ from nlqcorr import hamfun, qstate
 from _util import random_hermitian, random_state
 
 I2 = np.eye(2, dtype=complex)
+NEVER = hamfun.SwitchingSchedule((math.inf,) * 2, (2, 2))
 
 
 def wirtinger_fd(h, psi, step=1e-5):
@@ -179,15 +180,12 @@ def test_schedule_validation():
         hamfun.SwitchingSchedule((-1.0, 2.0), (2, 2))
     with pytest.raises(ValueError):
         hamfun.SwitchingSchedule((1.0,), (2, 2))
-    never = hamfun.SwitchingSchedule.never((2, 2))
-    assert never.detection_times == (math.inf, math.inf)
-    assert never.composite_dim == 4
+    assert NEVER.detection_times == (math.inf, math.inf)
 
 
 def test_polchinski_linear_additivity(rng):
     h1m, h2m = random_hermitian(rng, 2), random_hermitian(rng, 2)
-    comp = hamfun.polchinski_extend(
-        [hamfun.linear(h1m), hamfun.linear(h2m)], (2, 2), hamfun.SwitchingSchedule.never((2, 2)))
+    comp = hamfun.polchinski_extend([hamfun.linear(h1m), hamfun.linear(h2m)], (2, 2), NEVER)
     total = np.kron(h1m, I2) + np.kron(I2, h2m)
     for _ in range(10):
         psi = random_state(rng, 4)
@@ -204,7 +202,6 @@ def test_polchinski_switching_kills_terms(rng):
     rho = np.outer(psi, psi.conj())
     # at t=5 only the second-particle term survives
     z2 = np.trace(qstate.partial_trace(rho, (2, 2), 2) @ qstate.sigma_z).real
-    assert comp.active(5.0) == (False, True)
     assert abs(comp.energy(5.0, rho) - 0.5 * z2**2 / 2) <= 1e-12
     m = comp.effective_matrix(5.0, psi)
     assert np.max(np.abs(m - 0.5 * z2 * np.kron(I2, qstate.sigma_z))) <= 1e-12
@@ -216,7 +213,7 @@ def test_polchinski_switching_kills_terms(rng):
 def test_polchinski_never_matches_unswitched(rng):
     h1 = hamfun.quadratic_average(qstate.sigma_z, 8.0)
     h2 = hamfun.quadratic_average(qstate.sigma_x, 0.5)
-    comp = hamfun.polchinski_extend([h1, h2], (2, 2), hamfun.SwitchingSchedule.never((2, 2)))
+    comp = hamfun.polchinski_extend([h1, h2], (2, 2), NEVER)
     for _ in range(100):
         psi = random_state(rng, 4)
         rho = np.outer(psi, psi.conj())
@@ -229,9 +226,9 @@ def test_polchinski_never_matches_unswitched(rng):
 def test_polchinski_dimension_mismatch():
     h1 = hamfun.quadratic_average(qstate.sigma_z)
     with pytest.raises(ValueError):
-        hamfun.polchinski_extend([h1], (2, 2), hamfun.SwitchingSchedule.never((2, 2)))
+        hamfun.polchinski_extend([h1], (2, 2), NEVER)
     with pytest.raises(ValueError):
-        hamfun.polchinski_extend([h1, h1], (2, 3), hamfun.SwitchingSchedule.never((2, 3)))
+        hamfun.polchinski_extend([h1, h1], (2, 3), hamfun.SwitchingSchedule((math.inf,) * 2, (2, 3)))
 
 
 def test_structured_terms_cover_catalogue():

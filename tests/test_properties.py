@@ -362,18 +362,24 @@ def unit_vector(seed):
 
 
 @st.composite
-def zeno_setups(draw):
-    """Random pair, generators, times and axes; some pairs start on an eigenstate of
-    the first axis at t1 = 0, so that one projection branch is dead."""
+def zeno_setups(draw, first=1):
+    """Random pair, generators, times and axes with particle ``first`` detected first
+    (strictly, for #2); some pairs start on an eigenstate of that particle's axis at
+    its detection time 0, so that one projection branch is dead."""
     h1, h2 = (hamfun.catalogue_entry(*draw(catalogue)) for _ in range(2))
     da, db = unit_vector(draw(seeds)), unit_vector(draw(seeds))
-    t2 = draw(st.floats(0.0, 6.0))
+    late = draw(st.floats(0.0, 6.0))
     if draw(st.booleans()):
-        e = qstate.projector(da)[draw(st.integers(0, 1))]
+        e = qstate.projector((da, db)[first - 1])[draw(st.integers(0, 1))]
         up = e[:, np.argmax(np.linalg.norm(e, axis=0))]
-        psi0 = np.kron(up / np.linalg.norm(up), random_unitary(draw(seeds), 2)[:, 0])
-        return psi0, h1, h2, 0.0, t2, da, db
-    return pair_state(draw(seeds)), h1, h2, draw(st.floats(0.0, 1.0)) * t2, t2, da, db
+        up, other = up / np.linalg.norm(up), random_unitary(draw(seeds), 2)[:, 0]
+        psi0, early = (np.kron(up, other) if first == 1 else np.kron(other, up)), 0.0
+    else:
+        psi0, early = pair_state(draw(seeds)), draw(st.floats(0.0, 1.0)) * late
+    if first == 1:
+        return psi0, h1, h2, early, late, da, db
+    assume(early < late)
+    return psi0, h1, h2, late, early, da, db
 
 
 @FAST
@@ -406,6 +412,112 @@ def test_table_marginals_match_reduced_state_series(setup):
         "zeno", psi0, h1, h2, t1, t2, {}, [t2], direction_a=da).metadata["branch_weights"]
     for sa, w in zip((1, -1), weights):
         assert abs(tables["zeno"].marginal("first", sa) - w) <= 1e-13
+
+
+def second_first_branches(psi0, h1, h2, t2, direction_b):
+    """(sign of #2, its projector, weight, renormalized state or None) of projecting #2 at t2."""
+    psi_t2 = dynamics.switched_states(psi0, (h1, h2), ([t2], [t2]))[0]
+    branches = []
+    for sb, eb in zip((1, -1), qstate.projector(direction_b)):
+        v = np.kron(qstate.identity(2), eb) @ psi_t2
+        w = float(np.vdot(v, v).real)
+        branches.append((sb, eb, w, None if w < protocols.DEAD_BRANCH_TOL else v / np.sqrt(w)))
+    return branches
+
+
+def evolve_first_particle(h1, v, tau):
+    """kron(U1, I) v, with U1 particle #1's flow from its branch-conditioned state."""
+    rho1 = qstate.partial_trace(np.outer(v, v.conj()), (2, 2), keep=1)
+    return np.kron(dynamics.propagator_family(h1, rho1, [tau])[0], qstate.identity(2)) @ v
+
+
+def second_first_table(psi0, h1, h2, t1, t2, direction_a, direction_b):
+    """The Zeno table and dead branches for t2 < t1, projecting #2 first."""
+    outcomes, dead = {}, []
+    for sb, eb, w, v in second_first_branches(psi0, h1, h2, t2, direction_b):
+        if v is None:
+            dead.append(sb)
+            outcomes.update({(1, sb): 0.0, (-1, sb): 0.0})
+            continue
+        vt = evolve_first_particle(h1, v, t1 - t2)
+        for sa, ea in zip((1, -1), qstate.projector(direction_a)):
+            outcomes[(sa, sb)] = w * qstate.expectation(vt, np.kron(ea, eb))
+    return outcomes, tuple(dead)
+
+
+def second_first_series(psi0, h1, h2, t1, t2, grid, keep, direction_b):
+    """The Zeno reduced-state series of particle ``keep`` for t2 < t1, point by point."""
+    def reduced(psi):
+        return qstate.partial_trace(np.outer(psi, psi.conj()), (2, 2), keep=keep)
+
+    branches = second_first_branches(psi0, h1, h2, t2, direction_b)
+    series = []
+    for t in grid:
+        if t <= t2:
+            series.append(reduced(dynamics.switched_states(psi0, (h1, h2), ([t], [t]))[0]))
+            continue
+        series.append(sum(w * reduced(evolve_first_particle(h1, v, min(t, t1) - t2))
+                          for _, _, w, v in branches if v is not None))
+    return np.stack(series)
+
+
+def grid_through(*times):
+    """A grid from 0 past the latest time that contains the given times."""
+    return np.union1d(np.linspace(0.0, max(times) + 1.0, 7), times)
+
+
+@FAST
+@given(zeno_setups(first=2))
+def test_zeno_projects_the_second_particle_when_it_is_detected_first(setup):
+    psi0, h1, h2, t1, t2, da, db = setup
+    table = protocols.zeno_correlator(*setup)
+    outcomes, dead = second_first_table(*setup)
+    assert table.dead_branches == dead
+    for key, p in outcomes.items():
+        assert abs(table.outcomes[key] - p) <= 1e-14
+    for sb in dead:
+        assert table.outcomes[(1, sb)] == table.outcomes[(-1, sb)] == 0.0
+    grid = grid_through(t1, t2)
+    for keep in (1, 2):
+        got = protocols.reduced_state_series("zeno", psi0, h1, h2, t1, t2, grid, keep, da, db)
+        assert np.max(np.abs(got - second_first_series(psi0, h1, h2, t1, t2, grid, keep, db))) <= 1e-13
+
+
+@FAST
+@given(zeno_setups(first=2))
+def test_zeno_is_symmetric_under_exchanging_the_particles(setup):
+    psi0, h1, h2, t1, t2, da, db = setup
+    mirror = (psi0.reshape(2, 2).T.reshape(-1), h2, h1, t2, t1, db, da)
+    table, mirrored = protocols.zeno_correlator(*setup), protocols.zeno_correlator(*mirror)
+    assert table.dead_branches == mirrored.dead_branches
+    for (s1, s2), p in table.outcomes.items():
+        assert abs(p - mirrored.outcomes[(s2, s1)]) <= 1e-14
+    grid = grid_through(t1, t2)
+    for keep in (1, 2):
+        got = protocols.reduced_state_series("zeno", *setup[:5], grid, keep, da, db)
+        want = protocols.reduced_state_series("zeno", *mirror[:5], grid, 3 - keep, db, da)
+        assert np.max(np.abs(got - want)) <= 1e-14
+
+
+@FAST
+@given(seeds, seeds, seeds, st.floats(-5, 5), st.floats(-5, 5), st.floats(0.0, 6.0),
+       st.floats(0.0, 6.0), seeds, seeds)
+def test_bilinear_zeno_equals_switching_in_either_order(s1, s2, s_psi, c1, c2, t1, t2, s_a, s_b):
+    h1 = hamfun.linear(from_spectrum(s1, [c1, -c1]))
+    h2 = hamfun.linear(from_spectrum(s2, [c2, 0.0]))
+    psi0, da, db = pair_state(s_psi), unit_vector(s_a), unit_vector(s_b)
+    sw = protocols.switching_correlator(
+        psi0, h1, h2, t1, t2, qstate.pauli_vector(da), qstate.pauli_vector(db), (da, db))
+    ze = protocols.zeno_correlator(psi0, h1, h2, t1, t2, da, db)
+    for key, p in sw.outcomes.items():
+        assert abs(ze.outcomes[key] - p) <= 1e-12
+    assert abs(ze.correlator - sw.correlator) <= 1e-12
+    # the particle detected later does not see which way the other was measured
+    later = 1 if t2 < t1 else 2
+    grid = grid_through(t1, t2)
+    series = [protocols.reduced_state_series(protocol, psi0, h1, h2, t1, t2, grid, later, da, db)
+              for protocol in ("switching", "zeno")]
+    assert np.max(np.abs(series[0] - series[1])) <= 1e-12
 
 
 # --- state right-hand sides ---

@@ -25,14 +25,14 @@ def random_history(rng, dim=2):
     a, b = random_state(rng, dim), random_state(rng, dim)
     w = rng.uniform(0.2, 0.8)
     rho0 = w * np.outer(a, a.conj()) + (1 - w) * np.outer(b, b.conj())
-    return protocols.HistorySpec(projs, gen, float(times[-1]) + 0.5), rho0
+    return protocols.HistorySpec(projs, gen), rho0
 
 
 # --- histories ---
 
 def test_history_certain_event(rng):
     gen = random_hermitian(rng, 2)
-    spec = protocols.HistorySpec(((1.0, I2.copy()),), gen, 2.0)
+    spec = protocols.HistorySpec(((1.0, I2.copy()),), gen)
     psi = random_state(rng, 2)
     rho0 = np.outer(psi, psi.conj())
     assert protocols.history_probability_unitary(spec, rho0) == pytest.approx(1.0, abs=1e-12)
@@ -41,7 +41,7 @@ def test_history_certain_event(rng):
 def test_history_impossible_event():
     up = np.array([1, 0], dtype=complex)
     down_proj = np.diag([0.0, 1.0]).astype(complex)
-    spec = protocols.HistorySpec(((1.0, down_proj),), np.zeros((2, 2), dtype=complex), 2.0)
+    spec = protocols.HistorySpec(((1.0, down_proj),), np.zeros((2, 2), dtype=complex))
     assert protocols.history_probability_unitary(spec, np.outer(up, up.conj())) == pytest.approx(0.0, abs=1e-14)
 
 
@@ -50,7 +50,7 @@ def test_history_single_projector_is_born_rule(rng):
     v = random_state(rng, 2)
     proj = np.outer(v, v.conj())
     t1 = 1.3
-    spec = protocols.HistorySpec(((t1, proj),), gen, 2.0)
+    spec = protocols.HistorySpec(((t1, proj),), gen)
     psi = random_state(rng, 2)
     rho0 = np.outer(psi, psi.conj())
     u = qstate.herm_exp(gen, -1j * t1)
@@ -63,7 +63,7 @@ def test_history_commuting_projectors_classical_chain():
     p1 = np.diag([1.0, 0.0, 0.0]).astype(complex)
     p2 = np.diag([1.0, 0.0, 1.0]).astype(complex)
     rho0 = np.diag([0.5, 0.3, 0.2]).astype(complex)
-    spec = protocols.HistorySpec(((1.0, p2), (2.0, p1)), np.zeros((3, 3), dtype=complex), 3.0)
+    spec = protocols.HistorySpec(((1.0, p2), (2.0, p1)), np.zeros((3, 3), dtype=complex))
     assert protocols.history_probability_unitary(spec, rho0) == pytest.approx(0.5, abs=1e-13)
 
 
@@ -80,21 +80,20 @@ def test_history_routes_agree(rng):
 def test_history_rejects_non_projector(rng):
     gen = random_hermitian(rng, 2)
     with pytest.raises(ValueError):
-        protocols.HistorySpec(((1.0, 0.5 * I2),), gen, 2.0)
+        protocols.HistorySpec(((1.0, 0.5 * I2),), gen)
     with pytest.raises(ValueError):
-        protocols.HistorySpec(((2.0, I2.copy()), (1.0, I2.copy())), gen, 3.0)
+        protocols.HistorySpec(((2.0, I2.copy()), (1.0, I2.copy())), gen)
 
 
 def test_history_rejects_non_finite_times(rng):
     gen = random_hermitian(rng, 2)
     for bad in (math.nan, math.inf, -math.inf):
-        for events, final in ((((bad, I2.copy()), (2.0, I2.copy())), 3.0),
-                              (((1.0, I2.copy()), (bad, I2.copy())), 3.0),
-                              (((1.0, I2.copy()), (2.0, I2.copy())), bad)):
+        for events in (((bad, I2.copy()), (2.0, I2.copy())),
+                       ((1.0, I2.copy()), (bad, I2.copy()))):
             with warnings.catch_warnings():
                 warnings.simplefilter("error", RuntimeWarning)
                 with pytest.raises(ValueError):
-                    protocols.HistorySpec(events, gen, final)
+                    protocols.HistorySpec(events, gen)
 
 
 # --- correlator tables ---
@@ -255,15 +254,18 @@ def test_trajectory_rejects_bad_inputs():
     with pytest.raises(ValueError):
         protocols.ensemble_average_trajectory(
             "telepathy", psi0, h1, h2, 1.0, 2.0, obs, np.array([0.0, 1.0]))
-    # the Zeno protocol needs an ordered, finite measurement time
-    with pytest.raises(ValueError):
-        protocols.ensemble_average_trajectory(
-            "zeno", psi0, h1, h2, 2.0, 1.0, obs, np.array([0.0, 1.0]))
-    with pytest.raises(ValueError):
+    # the Zeno protocol takes either detection order, and needs a finite first detection
+    for t1 in (2.0, np.inf):
+        traj = protocols.ensemble_average_trajectory(
+            "zeno", psi0, h1, h2, t1, 1.0, obs, np.array([0.0, 1.0, 3.0]))
+        assert traj.column("1x").shape == (3,)
+    table = protocols.zeno_correlator(psi0, h1, h2, 2.0, 1.0, XHAT, XHAT)
+    assert sum(table.outcomes.values()) == pytest.approx(1.0, abs=1e-12)
+    with pytest.raises(ValueError, match="finite first detection"):
         protocols.ensemble_average_trajectory(
             "zeno", psi0, h1, h2, np.inf, np.inf, obs, np.array([0.0, 1.0]))
-    with pytest.raises(ValueError):
-        protocols.zeno_correlator(psi0, h1, h2, 2.0, 1.0, XHAT, XHAT)
+    with pytest.raises(ValueError, match="finite detection times"):
+        protocols.zeno_correlator(psi0, h1, h2, np.inf, 1.0, XHAT, XHAT)
 
 
 def test_series_reject_infinite_durations():
@@ -275,7 +277,7 @@ def test_series_reject_infinite_durations():
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         for protocol, t1, t2 in (("switching", 1.0, np.inf), ("switching", np.inf, 2.0),
-                                 ("zeno", 1.0, np.inf)):
+                                 ("zeno", 1.0, np.inf), ("zeno", np.inf, 2.0)):
             with pytest.raises(ValueError, match="finite"):
                 protocols.reduced_state_series(protocol, psi0, h1, h2, t1, t2, grid, keep=1)
             with pytest.raises(ValueError, match="finite"):
