@@ -99,7 +99,7 @@ def sub_beam_state(beam: BeamSpec, t: float) -> np.ndarray:
     switched-on duration, so the result is independent of every t2 (and a
     pair not yet born sits in its initial reduced state). Computed through
     the composite pair state so that independence is a property of the
-    dynamics, not of the code path.
+    dynamics, not of the code path; t = inf thus needs both particles detected.
     """
     t0, t1, t2 = beam.times.T
     tau1 = np.maximum(0.0, np.minimum(t, t1) - t0)

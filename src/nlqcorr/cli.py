@@ -269,9 +269,9 @@ def write_csv(path: str, header: list[str], rows, meta: dict) -> None:
 # experiments
 
 
-def _figure_grid(cfg: dict) -> np.ndarray:
-    """The sample times on [0, t_end], after checking that both detections fit."""
-    for tk in ("t1", "t2"):
+def _figure_grid(cfg: dict, detections) -> np.ndarray:
+    """The sample times on [0, t_end], after checking that the ``detections`` keys fit."""
+    for tk in detections:
         if math.isfinite(cfg[tk]) and cfg[tk] > cfg["t_end"]:
             raise ConfigError(f"t_end must be >= {tk} when {tk} is finite")
     n = int(round(cfg["t_end"] / cfg["dt"]))
@@ -313,7 +313,7 @@ def _print_outcome_table(table: protocols.MeasurementOutcomeTable) -> None:
 
 
 def run_figure(cfg: dict, protocol: str) -> int:
-    grid = _figure_grid(cfg)
+    grid = _figure_grid(cfg, ("t1", "t2"))
     psi0, t1, t2 = cfg["state"].psi, cfg["t1"], cfg["t2"]
     h1, h2 = _figure_hamiltonians(cfg)
     traj = protocols.ensemble_average_trajectory(
@@ -356,7 +356,7 @@ def run_entropy_sweep(cfg: dict) -> int:
 
 
 def run_locality_check(cfg: dict) -> int:
-    grid = _figure_grid(cfg)
+    grid = _figure_grid(cfg, ("t1",))
     psi0 = cfg["state"].psi
     kind = "linear-z" if cfg["linear_mode"] else "quadratic-z"
     h1 = catalogue_entry(kind, cfg["A"])
@@ -510,6 +510,7 @@ COMMANDS = {
         "alpha_range": ("0.25:2.0:0.25", _range),
         "dist": ("0.25,0.25,0.25,0.25", _dist),
     }, run_entropy_sweep),
+    # B and t2 go unread (the sweep reads b_values, t2_values); perfbench passes both flags
     "locality-check": ("reduced-state invariance sweep", {
         **{key: val for key, val in _FIGURE_SPEC.items() if key != "direction_b"},
         "dt": ("0.05", _positive_float),

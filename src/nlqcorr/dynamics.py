@@ -45,6 +45,7 @@ NORM_DRIFT_ABORT = 1e-6
 CHECK_BATCH = 64  # RK4 steps run between two norm checks in ``integrate``
 QVN_EIG_FLOOR = 1e-12
 QVN_NEG_TOL = -1e-10
+FALLBACK_DT = 1e-3  # RK4 step of ``propagator_family`` for a non-conserved generator
 
 
 class NumericalError(RuntimeError):
@@ -240,14 +241,13 @@ def exact_pair_propagator(psi0, coef_a: float, coef_b: float,
     return np.array([e1 * e2, e1 * c2, c1 * e2, c1 * c2]) * psi0
 
 
-def propagator_family(h: HamiltonianFunction, rho0, durations,
-                      fallback_dt: float = 1e-3) -> np.ndarray:
+def propagator_family(h: HamiltonianFunction, rho0, durations) -> np.ndarray:
     """One-particle flow unitaries for a 1-d array of durations, shape (n, d, d).
 
     Closed form whenever the function's generator is conserved along its own
     flow, which covers the whole built-in catalogue: one diagonalization, then
     the phases exp(-i w tau) for every duration at once. Otherwise RK4 on the
-    unitary at ``fallback_dt`` resolution, integrated incrementally through
+    unitary at ``FALLBACK_DT`` resolution, integrated incrementally through
     the sorted distinct durations. Entries follow the input order; repeated
     durations share one unitary.
     """
@@ -255,7 +255,7 @@ def propagator_family(h: HamiltonianFunction, rho0, durations,
     if taus.ndim != 1:
         raise ValueError("durations must be a 1-d sequence")
     if not ((taus >= 0) & (taus < np.inf)).all():
-        raise ValueError("durations must be finite and >= 0")
+        raise ValueError("durations must be finite and >= 0; a never-detected particle has none at t = inf")
     rho0 = np.asarray(rho0, dtype=complex)
     if h.conserved_generator:
         w, v = qstate.eigh(h.effective_matrix(rho0))
@@ -272,7 +272,7 @@ def propagator_family(h: HamiltonianFunction, rho0, durations,
     t_cur = 0.0
     for i, tau in enumerate(distinct):
         while tau - t_cur > 1e-15:
-            step = min(fallback_dt, tau - t_cur)
+            step = min(FALLBACK_DT, tau - t_cur)
             u = _rk4(deriv, u, step)
             t_cur += step
         out[i] = u

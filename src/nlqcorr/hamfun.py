@@ -32,6 +32,8 @@ import numpy as np
 from . import qstate
 
 COMMUTATOR_TOL = 1e-12
+FD_STEP = 1e-5  # central-difference step of the finite-difference gradient
+ACCEPTABLE_TOL = 1e-9
 
 
 def theta(x: float) -> int:
@@ -95,7 +97,6 @@ class HamiltonianFunction:
         state_energy: Callable[[np.ndarray], float] | None = None,
         terms: Sequence[GeneratorTerm] | None = None,
         conserved_generator: bool | None = None,
-        fd_step: float = 1e-5,
     ):
         if energy is None and terms is None and state_energy is None:
             raise ValueError("need at least one of energy, terms, state_energy")
@@ -104,7 +105,6 @@ class HamiltonianFunction:
         self._gradient = gradient
         self._state_energy = state_energy
         self.terms = tuple(terms) if terms is not None else None
-        self.fd_step = float(fd_step)
         if conserved_generator is None:
             conserved_generator = self._terms_commute() if self.terms else False
         self.conserved_generator = bool(conserved_generator)
@@ -125,12 +125,8 @@ class HamiltonianFunction:
         return None
 
     @property
-    def has_analytic_gradient(self) -> bool:
-        return self.terms is not None or self._gradient is not None
-
-    @property
     def uses_fd_gradient(self) -> bool:
-        return not self.has_analytic_gradient
+        return self.terms is None and self._gradient is None
 
     def energy(self, rho) -> float:
         rho = np.asarray(rho, dtype=complex)
@@ -164,7 +160,7 @@ class HamiltonianFunction:
             if not np.isfinite(g).all():
                 raise NonFiniteGradient("supplied gradient produced non-finite entries")
             return qstate.check_hermitian(g, tol=1e-10, name="supplied gradient")
-        return _fd_gradient(self.energy, rho, self.fd_step)
+        return _fd_gradient(self.energy, rho, FD_STEP)
 
     def __repr__(self):
         return f"HamiltonianFunction({self.label!r})"
@@ -268,18 +264,14 @@ def from_callable(
     energy: Callable[[np.ndarray], float],
     gradient: Callable[[np.ndarray], np.ndarray] | None = None,
     label: str = "custom",
-    conserved_generator: bool = False,
-    fd_step: float = 1e-5,
 ) -> HamiltonianFunction:
     """Wrap a user energy function of rho; gradient falls back to finite differences.
 
     ``energy`` must be defined on Hermitian matrices in a neighbourhood of the
     density-matrix manifold (finite differencing perturbs trace and spectrum).
+    Its generator is never taken as conserved: ``propagator_family`` integrates it.
     """
-    return HamiltonianFunction(
-        label, energy=energy, gradient=gradient,
-        conserved_generator=conserved_generator, fd_step=fd_step,
-    )
+    return HamiltonianFunction(label, energy=energy, gradient=gradient)
 
 
 def from_state_function(func: Callable[[np.ndarray], float], label: str = "state-functional") -> HamiltonianFunction:
@@ -309,23 +301,22 @@ def catalogue_entry(name: str, coef: float = 1.0) -> HamiltonianFunction:
 # acceptability and gradients at pure states
 
 
-def check_acceptable(h: HamiltonianFunction, trials: int, dim: int,
-                     rng: np.random.Generator | None = None, tol: float = 1e-9) -> bool:
+def check_acceptable(h: HamiltonianFunction, trials: int, dim: int) -> bool:
     """Probabilistic global-phase-invariance test of an energy functional.
 
-    Draws ``trials`` random (state, phase) pairs and checks
-    |H(e^{i a} psi) - H(psi)| <= tol for each. A True verdict can in
-    principle be a false accept (finitely many samples); any single violation
-    is conclusive.
+    Draws ``trials`` seeded random (state, phase) pairs and checks
+    |H(e^{i a} psi) - H(psi)| <= ``ACCEPTABLE_TOL`` for each. A True verdict
+    can in principle be a false accept (finitely many samples); any single
+    violation is conclusive.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    rng = rng if rng is not None else np.random.default_rng(20260810)
+    rng = np.random.default_rng(20260810)
     for _ in range(trials):
         v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
         v = v / np.linalg.norm(v)
         alpha = rng.uniform(0.0, 2 * np.pi)
-        if abs(h.state_energy(np.exp(1j * alpha) * v) - h.state_energy(v)) > tol:
+        if abs(h.state_energy(np.exp(1j * alpha) * v) - h.state_energy(v)) > ACCEPTABLE_TOL:
             return False
     return True
 
@@ -355,9 +346,8 @@ class SwitchingSchedule:
         for t in times:
             if math.isnan(t) or t < 0:
                 raise ValueError(f"detection times must be >= 0 or +inf, got {t}")
-        for d in dims:
-            if d < 1:
-                raise ValueError("subsystem dimensions must be positive")
+        if min(dims) < 1:
+            raise ValueError("subsystem dimensions must be positive")
         object.__setattr__(self, "detection_times", times)
         object.__setattr__(self, "subsystem_dims", dims)
 

@@ -178,9 +178,11 @@ def _outcome_table(protocol: str, t1: float, t2: float, rows, directions, first:
 # the two rival protocols
 
 
-def _validate_protocol_times(t1: float, t2: float):
+def _check_table_times(t1: float, t2: float):
     if not (t1 >= 0 and t2 >= 0):
         raise ValueError("detection times must be >= 0")
+    if not (math.isfinite(t1) and math.isfinite(t2)):
+        raise ValueError("outcome tables need finite detection times on both particles")
 
 
 def switching_correlator(psi0, h1: HamiltonianFunction, h2: HamiltonianFunction,
@@ -195,9 +197,7 @@ def switching_correlator(psi0, h1: HamiltonianFunction, h2: HamiltonianFunction,
     the single-particle observables (unit spins along those axes for a
     consistent table).
     """
-    _validate_protocol_times(t1, t2)
-    if not (math.isfinite(t1) and math.isfinite(t2)):
-        raise ValueError("outcome tables need finite detection times on both particles")
+    _check_table_times(t1, t2)
     obs_x = qstate.check_hermitian(obs_x, name="obs_x")
     obs_y = qstate.check_hermitian(obs_y, name="obs_y")
     psi_f = switched_states(psi0, (h1, h2), ([t1], [t2]))[0]
@@ -255,9 +255,7 @@ def zeno_correlator(psi0, h1: HamiltonianFunction, h2: HamiltonianFunction,
     contribute zero; ``dead_branches`` holds their signs of the particle
     detected first.
     """
-    _validate_protocol_times(t1, t2)
-    if not (math.isfinite(t1) and math.isfinite(t2)):
-        raise ValueError("outcome tables need finite detection times on both particles")
+    _check_table_times(t1, t2)
     # read after both detections, where the pair state is frozen
     first, branches = zeno_branches(psi0, h1, h2, t1, t2, direction_a, direction_b, [math.inf])
     rows = [(w, None if states is None else states[0]) for _, w, states in branches]
@@ -265,7 +263,8 @@ def zeno_correlator(psi0, h1: HamiltonianFunction, h2: HamiltonianFunction,
 
 
 def _check_series_inputs(t1: float, t2: float, t_grid) -> np.ndarray:
-    _validate_protocol_times(t1, t2)
+    if not (t1 >= 0 and t2 >= 0):
+        raise ValueError("detection times must be >= 0")
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.ndim != 1 or t_grid.size < 1 or np.any(np.diff(t_grid) <= 0) or t_grid[0] < 0:
         raise ValueError("t_grid must be non-negative and strictly increasing")
@@ -297,9 +296,9 @@ def reduced_state_series(protocol: str, psi0, h1: HamiltonianFunction,
     """Reduced matrices of particle ``keep`` (1 or 2) on a time grid, (n, 2, 2).
 
     Switching: the reduced state of the switched pair state. Zeno: the joint
-    unswitched evolution up to the first detection, then the
-    probability-weighted mixture over the two projection branches (see
-    :func:`ensemble_average_trajectory`).
+    unswitched evolution up to the first detection, then the weighted mixture
+    over the two projection branches (see :func:`ensemble_average_trajectory`).
+    Both keeps read the whole pair state, so t = inf needs finite t1 and t2.
     """
     t_grid = _check_series_inputs(t1, t2, t_grid)
     head, branches = _series_states(protocol, psi0, h1, h2, t1, t2, t_grid, direction_a, direction_b)
@@ -321,9 +320,9 @@ def ensemble_average_trajectory(protocol: str, psi0, h1: HamiltonianFunction,
     the first detection the joint unswitched evolution; afterwards the
     probability-weighted mixture over the two projection branches of the
     particle detected first (#1 on a tie), measured along ``direction_a``
-    (#1) or ``direction_b`` (#2), both x by default. Both protocols accept
-    the two times in either order; +inf means never detected, and the Zeno
-    protocol needs a finite first detection.
+    (#1) or ``direction_b`` (#2), both x by default. Either protocol takes
+    the times in either order, +inf meaning never detected; Zeno needs a
+    finite first detection, and a grid point t = inf needs both finite.
     """
     t_grid = _check_series_inputs(t1, t2, t_grid)
     psi0 = qstate.check_state(psi0)
@@ -347,6 +346,7 @@ def ensemble_average_trajectory(protocol: str, psi0, h1: HamiltonianFunction,
 
     meta["integrator"] = "closed-form branch mixture"
     meta["direction_a"] = tuple(float(x) for x in np.asarray(direction_a, dtype=float))
+    meta["direction_b"] = tuple(float(x) for x in np.asarray(direction_b, dtype=float))
     meta["branch_weights"] = tuple(w for _, w, _ in branches)
     return Trajectory(times=t_grid, states=None, observables=values, metadata=meta)
 

@@ -18,6 +18,8 @@ STATE_NORM_TOL = 1e-9
 UNIT_DIRECTION_TOL = 1e-10
 EXPECTATION_IMAG_TOL = 1e-10
 DENSITY_EIG_FLOOR = -1e-10
+TILTED_PAIR_ANGLE = np.pi / 8
+TILTED_PAIR_AMPLITUDE = 1 / 3
 
 
 def _const(entries) -> np.ndarray:
@@ -70,22 +72,22 @@ def check_observables(observables) -> dict[str, np.ndarray]:
             for name, op in (observables or {}).items()}
 
 
-def check_state(psi, tol: float = STATE_NORM_TOL) -> np.ndarray:
+def check_state(psi) -> np.ndarray:
     v = np.asarray(psi, dtype=complex)
     if v.ndim != 1 or v.size < 1:
         raise ValueError(f"state must be a 1-d amplitude vector, got shape {v.shape}")
     norm = np.linalg.norm(v)
-    if not abs(norm - 1.0) <= tol:
-        raise ValueError(f"state norm {norm!r} deviates from 1 by more than {tol:.1e}")
+    if not abs(norm - 1.0) <= STATE_NORM_TOL:
+        raise ValueError(f"state norm {norm!r} deviates from 1 by more than {STATE_NORM_TOL:.1e}")
     return v
 
 
-def check_density_matrix(rho, tol: float = HERMITIAN_TOL) -> np.ndarray:
+def check_density_matrix(rho) -> np.ndarray:
     """Validate Hermiticity, unit trace and spectrum of a density matrix."""
-    a = check_hermitian(rho, tol, name="density matrix")
+    a = check_hermitian(rho, name="density matrix")
     tr = np.trace(a)
-    if not abs(tr - 1.0) <= tol:
-        raise ValueError(f"density matrix trace {tr!r} deviates from 1 by more than {tol:.1e}")
+    if not abs(tr - 1.0) <= HERMITIAN_TOL:
+        raise ValueError(f"density matrix trace {tr!r} deviates from 1 by more than {HERMITIAN_TOL:.1e}")
     w, _ = eigh(a)
     if not w[0] >= DENSITY_EIG_FLOOR:
         raise ValueError(f"density matrix has negative eigenvalue {w[0]:.3e}")
@@ -224,15 +226,14 @@ def singlet_state() -> np.ndarray:
     return np.array([0, 1, -1, 0], dtype=complex) / np.sqrt(2)
 
 
-def tilted_pair_state(angle: float = np.pi / 8, amplitude: float = 1 / 3) -> np.ndarray:
+def tilted_pair_state() -> np.ndarray:
     """Entangled pair a |1>|2> - sqrt(1-a^2) |2>|1> over a tilted qubit basis.
 
-    ``|1>`` and ``|2>`` are the z basis rotated by ``angle``; the defaults give
-    amplitudes 1/3 and -2*sqrt(2)/3 at angle pi/8.
+    ``|1>`` and ``|2>`` are the z basis rotated by ``TILTED_PAIR_ANGLE`` (pi/8),
+    and a = ``TILTED_PAIR_AMPLITUDE``: amplitudes 1/3 and -2*sqrt(2)/3.
     """
-    if not 0 <= amplitude <= 1:
-        raise ValueError("amplitude must lie in [0, 1]")
-    c, s = np.cos(angle), np.sin(angle)
+    a = TILTED_PAIR_AMPLITUDE
+    c, s = np.cos(TILTED_PAIR_ANGLE), np.sin(TILTED_PAIR_ANGLE)
     k1 = np.array([c, s], dtype=complex)
     k2 = np.array([-s, c], dtype=complex)
-    return amplitude * np.kron(k1, k2) - np.sqrt(1 - amplitude**2) * np.kron(k2, k1)
+    return a * np.kron(k1, k2) - np.sqrt(1 - a**2) * np.kron(k2, k1)

@@ -3,7 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
-from nlqcorr import beams, hamfun, qstate
+from nlqcorr import beams, hamfun, protocols, qstate
 from _util import random_hermitian, random_state
 
 I2 = np.eye(2, dtype=complex)
@@ -136,6 +136,20 @@ def test_sub_beam_state_at_infinite_time():
         # a never-detected particle has no state at t = inf
         with pytest.raises(ValueError, match="finite"):
             beams.sub_beam_state(never, np.inf)
+
+
+def test_never_detected_particle_at_infinite_time_is_named():
+    # both routes build the whole pair state, so the frozen particle #1 still
+    # needs particle #2's unitary, whose duration is infinite
+    message = "durations must be finite and >= 0; a never-detected particle has none at t = inf"
+    h1, h2 = quad_pair()
+    psi0 = qstate.tilted_pair_state()
+    with pytest.raises(ValueError) as beam_error:
+        beams.sub_beam_state(beams.BeamSpec(psi0, h1, h2, [[0.0, 3.5, np.inf]]), np.inf)
+    with pytest.raises(ValueError) as series_error:
+        protocols.reduced_state_series("switching", psi0, h1, h2, 3.5, np.inf,
+                                       [0.0, 5.0, np.inf], keep=1)
+    assert str(beam_error.value) == str(series_error.value) == message
 
 
 def test_sample_variance_concentrates_like_one_over_n(rng):

@@ -192,6 +192,15 @@ def test_locality_check_zeno_needs_ordered_detections(capsys):
     assert run(["locality-check", "--protocol", "zeno", "--t1", "5", "--t2-values", "5,8"]) == 0
 
 
+def test_locality_check_ignores_b_and_t2(capsys):
+    # the sweep reads only --b-values and --t2-values; --t2 past --t-end is no error
+    assert run(["locality-check"]) == 0
+    default = capsys.readouterr()
+    for flag, value in (("--t2", "12"), ("--B", "1e6")):
+        assert run(["locality-check", flag, value]) == 0
+        assert capsys.readouterr() == default
+
+
 # --- teleport demo ---
 
 def test_teleport_demo_pre(capsys):
@@ -354,6 +363,50 @@ def test_config_keys_are_exactly_the_flags(tmp_path):
         for key in sorted(every_key - set(keys)):
             cfg.write_text(f"{key} = 1\n")
             assert run([name, "--config", cfg]) == 1, (name, key)
+
+
+class ReadRecorder(dict):
+    """A config that records the keys read by subscript; ``items()`` records nothing."""
+
+    def __init__(self, data):
+        super().__init__(data)
+        self.read = set()
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        return super().__getitem__(key)
+
+
+CHEAP_ARGS = {
+    "figure2": ["--t1", "0.5", "--t2", "1", "--t-end", "1", "--dt", "0.5"],
+    "figure3": ["--t1", "0.5", "--t2", "1", "--t-end", "1", "--dt", "0.5"],
+    "entropy-sweep": [],
+    "locality-check": ["--t1", "0.5", "--t-end", "1", "--dt", "0.5",
+                       "--b-values", "0", "--t2-values", "1"],
+    "teleport-demo": ["--pairs", "10"],
+    "history-check": ["--trials", "2"],
+    "qvn": ["--t-end", "0.01", "--dt", "0.001"],
+}
+
+# perfbench/workloads.py passes --B and --t2 to locality-check, whose sweep reads
+# b_values and t2_values instead; the two keys stay so that those calls parse
+UNREAD_KEYS = {"locality-check": {"B", "t2"}}
+
+
+def test_every_config_key_is_read_by_its_runner(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    build, configs = cli._build_config, []
+
+    def recording_build(args, spec):
+        configs.append(ReadRecorder(build(args, spec)))
+        return configs[-1]
+
+    monkeypatch.setattr(cli, "_build_config", recording_build)
+    assert list(CHEAP_ARGS) == list(cli.COMMANDS)
+    for name, argv in CHEAP_ARGS.items():
+        assert run([name, *argv]) == 0, name
+        cfg = configs[-1]
+        assert set(cfg) - cfg.read == UNREAD_KEYS.get(name, set()), name
 
 
 def run_captured(argv, out_file, capsys):

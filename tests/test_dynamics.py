@@ -270,7 +270,7 @@ def test_propagator_family_conserved_matches_generic(rng):
         lambda r: 1.3 * np.trace(r @ qstate.sigma_z).real ** 2 / 2,
         gradient=lambda r: 1.3 * np.trace(r @ qstate.sigma_z).real * np.asarray(qstate.sigma_z),
         label="generic-quad")
-    u_ode = dynamics.propagator_family(h_generic, rho, [2.0], fallback_dt=1e-3)[0]
+    u_ode = dynamics.propagator_family(h_generic, rho, [2.0])[0]
     assert np.max(np.abs(u_closed - u_ode)) <= 1e-8
 
 

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from nlqcorr import hamfun, qstate
+from nlqcorr import dynamics, hamfun, qstate
 from _util import random_hermitian, random_state
 
 I2 = np.eye(2, dtype=complex)
@@ -170,6 +170,25 @@ def test_mean_field_gradient_is_bloch_field(rng):
     expected = 2.5 * (bloch[0] * qstate.sigma_x + bloch[1] * qstate.sigma_y + bloch[2] * qstate.sigma_z)
     assert np.max(np.abs(h.effective_matrix(rho) - expected)) <= 1e-13
     assert h.conserved_generator
+
+
+def test_callable_energy_is_never_taken_as_conserved():
+    # Weinberg-type <sigma_z>^2 + <sigma_x>: the generator moves along its own flow,
+    # so the unitary must be integrated, as for the same energy written as terms
+    def energy(rho):
+        return np.trace(rho @ qstate.sigma_z).real ** 2 + np.trace(rho @ qstate.sigma_x).real
+
+    h = hamfun.from_callable(energy, label="weinberg")
+    as_terms = hamfun.HamiltonianFunction("weinberg-terms", terms=(
+        hamfun.GeneratorTerm(qstate.sigma_z, power=1, coef=2.0),
+        hamfun.GeneratorTerm(qstate.sigma_x, power=0, coef=1.0)))
+    assert not h.conserved_generator and not as_terms.conserved_generator
+    psi = np.array([np.cos(0.3), np.sin(0.3)], dtype=complex)
+    rho = np.outer(psi, psi.conj())
+    u = dynamics.propagator_family(h, rho, [0.5])[0]
+    assert np.max(np.abs(u - dynamics.propagator_family(as_terms, rho, [0.5])[0])) <= 1e-9
+    # the closed form of a frozen generator is visibly off
+    assert np.max(np.abs(u - qstate.herm_exp(h.effective_matrix(rho), -0.5j))) > 1e-3
 
 
 # --- switching schedule and the multiparticle extension ---

@@ -237,13 +237,13 @@ def test_propagator_stack_matches_single_durations_conserved(entry, seed, taus):
 def test_propagator_stack_matches_single_durations_nonconserved(cz, cx, seed, steps):
     # durations on the fallback grid, unsorted and repeated, so the incremental
     # RK4 takes the same steps as a run from zero to each duration
-    dt = 0.01
+    dt = dynamics.FALLBACK_DT
     taus = [k * dt for k in steps + steps[:2]]
     h = nonconserved(cz, cx)
     rho0 = one_particle_density(seed)
-    stack = dynamics.propagator_family(h, rho0, taus, fallback_dt=dt)
+    stack = dynamics.propagator_family(h, rho0, taus)
     for u, tau in zip(stack, taus):
-        single = dynamics.propagator_family(h, rho0, [tau], fallback_dt=dt)[0]
+        single = dynamics.propagator_family(h, rho0, [tau])[0]
         assert np.max(np.abs(u - single)) <= 1e-12
 
 

@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from nlqcorr import hamfun, protocols, qstate
+from nlqcorr import dynamics, hamfun, protocols, qstate
 from _util import random_direction, random_hermitian, random_state
 
 I2 = np.eye(2, dtype=complex)
@@ -245,6 +245,23 @@ def test_zeno_nonlocal_gap_exists():
     mask = (grid > 3.5) & (grid <= 8.0)
     gap = np.max(np.abs(sw.column("1x")[mask] - ze.column("1x")[mask]))
     assert gap > 1e-3
+
+
+def test_zeno_metadata_names_both_axes_when_particle_2_is_detected_first():
+    # with t2 < t1 the branches are particle #2's signs along direction_b, at t2
+    psi0 = qstate.tilted_pair_state()
+    h1, h2 = quad_pair()
+    zhat = (0.0, 0.0, 1.0)
+    traj = protocols.ensemble_average_trajectory(
+        "zeno", psi0, h1, h2, 8.0, 3.5, {"1x": np.kron(I2, qstate.sigma_x)},
+        np.array([0.0, 5.0]), direction_a=XHAT, direction_b=zhat)
+    assert (traj.metadata["direction_a"], traj.metadata["direction_b"]) == (XHAT, zhat)
+    psi = dynamics.switched_states(psi0, (h1, h2), ([3.5], [3.5]))[0]
+    rho = np.outer(psi, psi.conj())
+    weights = {k: [np.trace(qstate.partial_trace(rho, (2, 2), k) @ e).real
+                   for e in qstate.projector(axis)] for k, axis in ((1, XHAT), (2, zhat))}
+    assert traj.metadata["branch_weights"] == pytest.approx(weights[2], abs=1e-14)
+    assert np.max(np.abs(np.subtract(weights[1], weights[2]))) > 0.1
 
 
 def test_trajectory_rejects_bad_inputs():
