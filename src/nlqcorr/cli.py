@@ -576,6 +576,10 @@ def main(argv=None) -> int:
         # a runner's only file access is writing its output CSV
         print(f"nlqcorr: config error: cannot write {cfg['out']}: {exc.strerror}", file=sys.stderr)
         return 1
+    except MemoryError as exc:
+        # a sample grid too large to allocate, e.g. a tiny dt; numpy names the size
+        print(f"nlqcorr: config error: out of memory: {exc}", file=sys.stderr)
+        return 1
     except NumericalError as exc:
         print(f"nlqcorr: numerical failure: {exc}", file=sys.stderr)
         return 2

@@ -1,9 +1,8 @@
 """Generalized entropies and Kolmogorov-Nagumo (KN) averages.
 
-Shannon and Renyi information measures, Tsallis entropy with its escort
-distributions and q-internal energy, and KN quasi-linear averages
-phi^-1(sum p_k phi(x_k)) both for classical values and spectrally for quantum
-observables. Conventions: 0 log(1/0) := 0 and 0^q := 0 for q > 0; the log
+Shannon and Renyi information measures, Tsallis entropy, and KN
+quasi-linear averages phi^-1(sum p_k phi(x_k)) of classical values.
+Conventions: 0 log(1/0) := 0 and 0^q := 0 for q > 0; the log
 base is an explicit parameter, defaulting to 2 for information quantities
 while Tsallis entropy uses the natural log. Hartley information log(N/N_k)
 is the deterministic special case of ``shannon_entropy`` on empirical count
@@ -17,8 +16,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-
-from . import qstate
 
 DIST_SUM_TOL = 1e-12
 DIST_NEG_TOL = -1e-14
@@ -77,31 +74,8 @@ class KNFunction:
             raise ValueError(f"values outside KN domain [{lo}, {hi}]")
 
 
-def kn_linear() -> KNFunction:
-    return KNFunction(lambda x: x, lambda y: y, "linear")
-
-
 def kn_sqrt() -> KNFunction:
     return KNFunction(math.sqrt, lambda y: y * y, "sqrt", domain=(0.0, math.inf))
-
-
-def kn_exponential(alpha: float, base: float = 2.0) -> KNFunction:
-    """phi(x) = base^((1-alpha) x), the exponential KN family.
-
-    Together with affine maps of the identity these are the only KN kernels
-    compatible with additivity of information; this one turns the Shannon
-    random variable into the Renyi alpha-entropy.
-    """
-    if alpha == 1:
-        raise ValueError("alpha = 1 degenerates to the linear kernel")
-    if base <= 1:
-        raise ValueError("base must exceed 1")
-    scale = (1 - alpha) * math.log(base)
-    return KNFunction(
-        lambda x: math.exp(scale * x),
-        lambda y: math.log(y) / scale,
-        f"exp[alpha={alpha:g}, base={base:g}]",
-    )
 
 
 def kn_affine(phi: KNFunction, a: float, b: float) -> KNFunction:
@@ -146,16 +120,6 @@ def renyi_entropy(weights, alpha: float, base: float = 2.0, limit: bool = False)
     return float(math.log((nz**alpha).sum()) / ((1 - alpha) * math.log(base)))
 
 
-def kn_quantum_average(rho, obs, phi: KNFunction) -> float:
-    """phi^-1(Tr rho phi(X)) with phi applied spectrally to the observable."""
-    rho = qstate.check_density_matrix(rho)
-    w, v = qstate.eigh(obs)
-    phi.check_domain(w)
-    phi_obs = (v * np.array([phi.forward(float(x)) for x in w])) @ v.conj().T
-    inner = np.trace(rho @ phi_obs).real
-    return float(phi.inverse(inner))
-
-
 def kn_decomposition_check(p_plus: float) -> tuple[float, float]:
     """Both sides of the sqrt-kernel split of the quadratic pair energy.
 
@@ -181,23 +145,3 @@ def tsallis_entropy(weights, q: float, limit: bool = False) -> float:
     nz = p[p > 0]
     return float(((nz**q).sum() - 1.0) / (1.0 - q))
 
-
-def escort_distribution(weights, q: float) -> np.ndarray:
-    """P_k = p_k^q / sum_j p_j^q, the q-deformed weights."""
-    if q <= 0:
-        raise ValueError("q must be positive")
-    p = _as_distribution(weights)
-    pq = np.where(p > 0, p**q, 0.0)
-    total = pq.sum()
-    if total <= 0:
-        raise ValueError("escort distribution undefined for an all-zero input")
-    return pq / total
-
-
-def q_internal_energy(weights, energies, q: float) -> float:
-    """Escort-weighted mean sum_k P_k^(q) E_k."""
-    e = np.asarray(energies, dtype=float)
-    p = _as_distribution(weights)
-    if e.shape != p.shape:
-        raise ValueError("energies and weights must have matching length")
-    return float(np.dot(escort_distribution(p, q), e))

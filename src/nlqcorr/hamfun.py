@@ -2,9 +2,9 @@
 
 A :class:`HamiltonianFunction` is a real energy ``H(rho)`` together with its
 Hermitian gradient ``G(rho)`` (the effective Hamiltonian: ``dH = Tr(G drho)``,
-and the induced pure-state flow is ``i dpsi/dt = G(|psi><psi|) psi``). Energy
-functionals that cannot be written as functions of ``rho`` alone (not phase
-invariant) are rejected by :func:`check_acceptable`.
+and the induced pure-state flow is ``i dpsi/dt = G(|psi><psi|) psi``). Every
+energy is a function of ``rho``, so it is invariant under a global phase of
+``psi`` by construction.
 
 The built-in catalogue covers the linear form ``<H>``, the quadratic average
 ``c <X>^2 / 2`` for Hermitian ``X``, and the mean-field form
@@ -33,7 +33,6 @@ from . import qstate
 
 COMMUTATOR_TOL = 1e-12
 FD_STEP = 1e-5  # central-difference step of the finite-difference gradient
-ACCEPTABLE_TOL = 1e-9
 
 
 def theta(x: float) -> int:
@@ -94,16 +93,14 @@ class HamiltonianFunction:
         label: str,
         energy: Callable[[np.ndarray], float] | None = None,
         gradient: Callable[[np.ndarray], np.ndarray] | None = None,
-        state_energy: Callable[[np.ndarray], float] | None = None,
         terms: Sequence[GeneratorTerm] | None = None,
         conserved_generator: bool | None = None,
     ):
-        if energy is None and terms is None and state_energy is None:
-            raise ValueError("need at least one of energy, terms, state_energy")
+        if energy is None and terms is None:
+            raise ValueError("need energy or terms")
         self.label = label
         self._energy = energy
         self._gradient = gradient
-        self._state_energy = state_energy
         self.terms = tuple(terms) if terms is not None else None
         if conserved_generator is None:
             conserved_generator = self._terms_commute() if self.terms else False
@@ -136,14 +133,10 @@ class HamiltonianFunction:
                 ev = np.trace(rho @ term.operator).real
                 total += term.coef * ev ** (term.power + 1) / (term.power + 1)
             return float(total)
-        if self._energy is not None:
-            return float(self._energy(rho))
-        raise TypeError(f"{self.label!r} is defined on state vectors only; no density-matrix form")
+        return float(self._energy(rho))
 
     def state_energy(self, psi) -> float:
         psi = np.asarray(psi, dtype=complex)
-        if self._state_energy is not None:
-            return float(self._state_energy(psi))
         return self.energy(np.outer(psi, psi.conj()))
 
     def effective_matrix(self, rho) -> np.ndarray:
@@ -274,15 +267,6 @@ def from_callable(
     return HamiltonianFunction(label, energy=energy, gradient=gradient)
 
 
-def from_state_function(func: Callable[[np.ndarray], float], label: str = "state-functional") -> HamiltonianFunction:
-    """Wrap a wavefunction-level energy functional, e.g. to probe acceptability.
-
-    No density-matrix form is attached, so such functions cannot enter
-    multiparticle extensions or gradient flows.
-    """
-    return HamiltonianFunction(label, state_energy=func)
-
-
 CATALOGUE_NAMES = ("linear-z", "quadratic-z", "mean-field")
 
 
@@ -298,27 +282,7 @@ def catalogue_entry(name: str, coef: float = 1.0) -> HamiltonianFunction:
 
 
 # ---------------------------------------------------------------------------
-# acceptability and gradients at pure states
-
-
-def check_acceptable(h: HamiltonianFunction, trials: int, dim: int) -> bool:
-    """Probabilistic global-phase-invariance test of an energy functional.
-
-    Draws ``trials`` seeded random (state, phase) pairs and checks
-    |H(e^{i a} psi) - H(psi)| <= ``ACCEPTABLE_TOL`` for each. A True verdict
-    can in principle be a false accept (finitely many samples); any single
-    violation is conclusive.
-    """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    rng = np.random.default_rng(20260810)
-    for _ in range(trials):
-        v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-        v = v / np.linalg.norm(v)
-        alpha = rng.uniform(0.0, 2 * np.pi)
-        if abs(h.state_energy(np.exp(1j * alpha) * v) - h.state_energy(v)) > ACCEPTABLE_TOL:
-            return False
-    return True
+# gradients at pure states
 
 
 def effective_hamiltonian(h: HamiltonianFunction, psi) -> np.ndarray:

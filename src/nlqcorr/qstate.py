@@ -98,11 +98,6 @@ def check_density_matrix(rho) -> np.ndarray:
 # operations
 
 
-def kron(a, b) -> np.ndarray:
-    """Tensor product of two square operators."""
-    return np.kron(check_square(a, "first factor"), check_square(b, "second factor"))
-
-
 def partial_trace(rho, dims, keep: int) -> np.ndarray:
     """Reduced matrix of factor ``keep`` (1-based) of a composite operator on ``dims``."""
     dims = tuple(int(d) for d in dims)

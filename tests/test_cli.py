@@ -293,6 +293,17 @@ def test_unwritable_output_is_a_config_error(tmp_path, capsys, command):
     assert not list(tmp_path.rglob(".nlqcorr-*.tmp"))
 
 
+@pytest.mark.parametrize("command", ["figure2", "figure3", "locality-check"])
+def test_grid_too_large_to_allocate_is_a_config_error(tmp_path, capsys, command):
+    # 1e16 samples exceed any address space, so the allocation fails at once
+    out = tmp_path / "x.csv"
+    argv = [command, "--dt", "1e-15"] + (["--out", out] if "out" in cli.COMMANDS[command][1] else [])
+    assert run(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("nlqcorr: config error: out of memory: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_exit_code_numerical_failure(tmp_path):
     code = run(["qvn", "--q", "0.7", "--t-end", "5", "--dt", "2.5",
                 "--coupling", "5", "--out", tmp_path / "x.csv"])
@@ -356,6 +367,7 @@ def test_help_lists_the_flags_in_order(capsys):
 
 def test_config_keys_are_exactly_the_flags(tmp_path):
     every_key = {key for _, spec, _ in cli.COMMANDS.values() for key in spec} | {"config"}
+    assert set(cli._HELP) == every_key - {"config"}  # no help text for a key that no spec has
     cfg = tmp_path / "run.cfg"
     for name, flags in HELP_FLAGS.items():
         keys = [flag[2:].replace("-", "_") for flag in flags[1:]]

@@ -3,8 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from nlqcorr import entropy, qstate
-from _util import random_density, random_hermitian
+from nlqcorr import entropy
 
 
 # --- Shannon ---
@@ -44,7 +43,8 @@ def test_distribution_validation():
 def test_kn_linear_is_arithmetic_mean(rng):
     p = np.array([0.2, 0.3, 0.5])
     x = rng.normal(size=3)
-    assert entropy.kn_average(x, p, entropy.kn_linear()) == pytest.approx(float(p @ x), abs=1e-12)
+    linear = entropy.KNFunction(lambda v: v, lambda v: v, "linear")
+    assert entropy.kn_average(x, p, linear) == pytest.approx(float(p @ x), abs=1e-12)
 
 
 def test_kn_sqrt_two_point_closed_form():
@@ -65,12 +65,17 @@ def test_kn_affine_invariance(rng):
 
 
 def test_kn_exponential_reproduces_renyi(rng):
+    # phi(x) = 2^((1 - alpha) x) turns the Shannon random variable log2(1/p_k)
+    # into the Renyi alpha-entropy
     for alpha in (0.5, 2.0, 3.5):
+        scale = (1 - alpha) * math.log(2)
+        phi = entropy.KNFunction(lambda x: math.exp(scale * x), lambda y: math.log(y) / scale,
+                                 f"exp[alpha={alpha:g}]")
         for _ in range(10):
             p = rng.uniform(0.05, 1.0, size=5)
             p /= p.sum()
             info = np.log2(1 / p)
-            via_kn = entropy.kn_average(info, p, entropy.kn_exponential(alpha, base=2))
+            via_kn = entropy.kn_average(info, p, phi)
             assert abs(via_kn - entropy.renyi_entropy(p, alpha, base=2)) <= 1e-10
 
 
@@ -121,41 +126,6 @@ def test_renyi_additive_over_products(rng):
         lhs = entropy.renyi_entropy(joint, alpha, base=2)
         rhs = entropy.renyi_entropy(a, alpha, base=2) + entropy.renyi_entropy(b, alpha, base=2)
         assert abs(lhs - rhs) <= 1e-10
-
-
-# --- quantum KN averages ---
-
-def test_kn_quantum_linear_is_trace(rng):
-    rho = random_density(rng, 3)
-    obs = random_hermitian(rng, 3)
-    got = entropy.kn_quantum_average(rho, obs, entropy.kn_linear())
-    assert got == pytest.approx(np.trace(rho @ obs).real, abs=1e-12)
-
-
-def test_kn_quantum_eigenstate_is_dispersion_free(rng):
-    obs = random_hermitian(rng, 3) + 5.0 * np.eye(3)  # shift spectrum into sqrt domain
-    w, v = qstate.eigh(obs)
-    rho = np.outer(v[:, 1], v[:, 1].conj())
-    got = entropy.kn_quantum_average(rho, obs, entropy.kn_sqrt())
-    assert got == pytest.approx(w[1], abs=1e-10)
-
-
-def test_kn_quantum_factor_observable_reduces(rng):
-    # <phi(X) (x) I> equals the KN average against the reduced state
-    rho = random_density(rng, 4)
-    x = random_hermitian(rng, 2) + 4.0 * np.eye(2)
-    phi = entropy.kn_sqrt()
-    lifted = np.kron(x, np.eye(2))
-    full = entropy.kn_quantum_average(rho, lifted, phi)
-    rho1 = qstate.partial_trace(rho, (2, 2), 1)
-    reduced = entropy.kn_quantum_average(rho1, x, phi)
-    assert abs(full - reduced) <= 1e-10
-
-
-def test_kn_quantum_domain_violation(rng):
-    rho = random_density(rng, 2)
-    with pytest.raises(ValueError):
-        entropy.kn_quantum_average(rho, qstate.sigma_z, entropy.kn_sqrt())
 
 
 # --- the decomposition identity ---
@@ -224,52 +194,3 @@ def test_q_deformation_linearization_error_is_second_order():
         big, small = max_residual(1 + delta), max_residual(1 + delta / 2)
         assert big / small == pytest.approx(4.0, rel=0.15)
 
-
-# --- escort distributions ---
-
-def test_escort_identity_at_q1(rng):
-    p = rng.uniform(0.1, 1.0, size=4)
-    p /= p.sum()
-    assert np.max(np.abs(entropy.escort_distribution(p, 1.0) - p)) <= 1e-14
-
-
-def test_escort_concentrates_at_large_q():
-    esc = entropy.escort_distribution([0.7, 0.3], 20.0)
-    assert esc[0] > 0.99
-
-
-def test_escort_uniform_fixed_point():
-    p = np.full(5, 0.2)
-    for q in (0.5, 3.0, 10.0):
-        assert np.max(np.abs(entropy.escort_distribution(p, q) - p)) <= 1e-12
-
-
-def test_escort_sums_to_one(rng):
-    for _ in range(20):
-        p = rng.uniform(0, 1, size=6)
-        p /= p.sum()
-        q = rng.uniform(0.2, 8.0)
-        assert entropy.escort_distribution(p, q).sum() == pytest.approx(1.0, abs=1e-12)
-
-
-# --- q internal energy ---
-
-def test_q_internal_energy_reduces_to_mean_at_q1(rng):
-    p = rng.uniform(0.1, 1.0, size=4)
-    p /= p.sum()
-    e = rng.normal(size=4)
-    assert entropy.q_internal_energy(p, e, 1.0) == pytest.approx(float(p @ e), abs=1e-12)
-
-
-def test_q_internal_energy_constant_energies():
-    assert entropy.q_internal_energy([0.2, 0.8], [3.0, 3.0], 2.7) == pytest.approx(3.0, abs=1e-12)
-
-
-def test_q_internal_energy_two_term_value():
-    got = entropy.q_internal_energy([0.7, 0.3], [0.0, 1.0], 2.0)
-    assert got == pytest.approx(0.09 / 0.58, abs=1e-12)
-
-
-def test_q_internal_energy_length_mismatch():
-    with pytest.raises(ValueError):
-        entropy.q_internal_energy([0.5, 0.5], [1.0], 2.0)

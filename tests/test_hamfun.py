@@ -73,34 +73,6 @@ def test_kappa_monotone(rng):
     assert all(v == tk for t, v in zip(ts, vals) if t >= tk)
 
 
-# --- acceptability ---
-
-def test_quadratic_average_is_acceptable():
-    h = hamfun.quadratic_average(qstate.sigma_x)
-    assert hamfun.check_acceptable(h, trials=50, dim=2)
-
-
-def test_pairing_functional_is_not_acceptable():
-    def bad(psi):
-        z = psi[0] * psi[1]
-        return float(((z + np.conj(z)) ** 2).real)
-
-    h = hamfun.from_state_function(bad, label="pairing-squared")
-    assert not hamfun.check_acceptable(h, trials=50, dim=2)
-
-
-def test_linear_functions_acceptable(rng):
-    for _ in range(5):
-        h = hamfun.linear(random_hermitian(rng, 2))
-        assert hamfun.check_acceptable(h, trials=30, dim=2)
-
-
-def test_state_functional_has_no_density_form():
-    h = hamfun.from_state_function(lambda psi: 0.0)
-    with pytest.raises(TypeError):
-        h.energy(np.eye(2) / 2)
-
-
 # --- effective Hamiltonians ---
 
 def test_effective_hamiltonian_linear_case(rng):

@@ -520,6 +520,77 @@ def test_bilinear_zeno_equals_switching_in_either_order(s1, s2, s_psi, c1, c2, t
     assert np.max(np.abs(series[0] - series[1])) <= 1e-12
 
 
+# --- covariance under local unitaries ---
+
+def conjugated(h, u):
+    """h with each term's operator O replaced by u O u^dag; ``conserved_generator`` is kept."""
+    terms = tuple(hamfun.GeneratorTerm(u @ t.operator @ u.conj().T, t.power, t.coef) for t in h.terms)
+    return hamfun.HamiltonianFunction(h.label, terms=terms, conserved_generator=h.conserved_generator)
+
+
+def bloch_rotation(u):
+    """The rotation R with u (a.sigma) u^dag = (R a).sigma."""
+    paulis = (qstate.sigma_x, qstate.sigma_y, qstate.sigma_z)
+    return np.array([[np.trace(p @ u @ q @ u.conj().T).real / 2 for q in paulis] for p in paulis])
+
+
+@st.composite
+def term_generators(draw):
+    """A catalogue entry, a quadratic term on a random axis, or that term plus a
+    linear one on another axis (non-conserved, so it takes the RK4 fallback)."""
+    kind = draw(st.sampled_from(("catalogue", "axis", "nonconserved")))
+    if kind == "catalogue":
+        return hamfun.catalogue_entry(*draw(catalogue))
+    terms = [hamfun.GeneratorTerm(qstate.pauli_vector(unit_vector(draw(seeds))), 1, draw(st.floats(-5, 5)))]
+    if kind == "nonconserved":
+        terms.append(hamfun.GeneratorTerm(qstate.pauli_vector(unit_vector(draw(seeds))), 0,
+                                          draw(st.floats(0.5, 4.0))))
+    return hamfun.HamiltonianFunction(kind, terms=terms)
+
+
+@st.composite
+def covariance_setups(draw):
+    h1, h2 = draw(term_generators()), draw(term_generators())
+    # the fallback steps at FALLBACK_DT up to the latest detection, so keep those runs short
+    late = 6.0 if h1.conserved_generator and h2.conserved_generator else 0.25
+    # drawn independently, so either particle may be detected first
+    times = draw(st.floats(0.0, late)), draw(st.floats(0.0, late))
+    us = random_unitary(draw(seeds), 2), random_unitary(draw(seeds), 2)
+    return pair_state(draw(seeds)), (h1, h2), times, (unit_vector(draw(seeds)), unit_vector(draw(seeds))), us
+
+
+def protocol_readouts(psi0, hs, times, axes):
+    """Both outcome tables and the reduced-state series of both particles under both protocols."""
+    (h1, h2), (t1, t2), (da, db) = hs, times, axes
+    tables = (protocols.switching_correlator(psi0, h1, h2, t1, t2, qstate.pauli_vector(da),
+                                             qstate.pauli_vector(db), axes),
+              protocols.zeno_correlator(psi0, h1, h2, t1, t2, da, db))
+    series = {(protocol, keep): protocols.reduced_state_series(
+                  protocol, psi0, h1, h2, t1, t2, grid_through(t1, t2), keep, da, db)
+              for protocol in ("switching", "zeno") for keep in (1, 2)}
+    return tables, series
+
+
+@FAST
+@given(covariance_setups())
+def test_protocols_are_covariant_under_local_unitaries(setup):
+    psi0, hs, times, axes, us = setup
+    mapped_psi0 = np.kron(*us) @ psi0
+    mapped_hs = tuple(conjugated(h, u) for h, u in zip(hs, us))
+    mapped_axes = tuple(bloch_rotation(u) @ a for u, a in zip(us, axes))
+    tables, series = protocol_readouts(psi0, hs, times, axes)
+    mapped_tables, mapped_series = protocol_readouts(mapped_psi0, mapped_hs, times, mapped_axes)
+    # a table checks that its outcomes sum to 1, so an all-zero table cannot pass as invariant
+    for table, mapped in zip(tables, mapped_tables):
+        assert table.dead_branches == mapped.dead_branches
+        assert abs(table.correlator - mapped.correlator) <= 1e-12
+        for key, p in table.outcomes.items():
+            assert abs(mapped.outcomes[key] - p) <= 1e-12
+    for (protocol, keep), rho in series.items():
+        u = us[keep - 1]
+        assert np.max(np.abs(mapped_series[protocol, keep] - u @ rho @ u.conj().T)) <= 1e-12
+
+
 # --- state right-hand sides ---
 
 def unit_hermitian(seed, d):

@@ -20,34 +20,13 @@ def brute_force_ptrace_first(psi):
 
 # --- kron ---
 
-def test_kron_sigma_z_identity():
-    assert np.array_equal(qstate.kron(qstate.sigma_z, I2), np.diag([1, 1, -1, -1]).astype(complex))
-
-
-def test_kron_identity_identity():
-    assert np.array_equal(qstate.kron(I2, I2), np.eye(4))
-
-
 def test_kron_singlet_xx_expectation():
     psi = qstate.singlet_state()
-    xx = qstate.kron(qstate.sigma_x, qstate.sigma_x)
+    xx = np.kron(qstate.sigma_x, qstate.sigma_x)
     # direct 4x4 evaluation of the hand-expanded singlet
     manual = np.vdot(psi, xx @ psi).real
     assert abs(manual + 1) < 1e-14
     assert abs(qstate.expectation(psi, xx) + 1) < 1e-14
-
-
-def test_kron_associativity_random(rng):
-    for _ in range(20):
-        a, b, c = (random_hermitian(rng, 2) for _ in range(3))
-        left = qstate.kron(qstate.kron(a, b), c)
-        right = qstate.kron(a, qstate.kron(b, c))
-        assert np.max(np.abs(left - right)) <= 1e-12
-
-
-def test_kron_rejects_non_square():
-    with pytest.raises(ValueError):
-        qstate.kron(np.ones((2, 3)), I2)
 
 
 # --- partial trace ---
@@ -153,13 +132,13 @@ def test_expectation_eigenstate():
 
 
 def test_expectation_singlet_anticorrelation():
-    zz = qstate.kron(qstate.sigma_z, qstate.sigma_z)
+    zz = np.kron(qstate.sigma_z, qstate.sigma_z)
     assert qstate.expectation(qstate.singlet_state(), zz) == pytest.approx(-1.0, abs=1e-14)
 
 
 def test_expectation_tilted_pair_z_value():
     psi = qstate.tilted_pair_state()
-    got = qstate.expectation(psi, qstate.kron(qstate.sigma_z, I2))
+    got = qstate.expectation(psi, np.kron(qstate.sigma_z, I2))
     assert got == pytest.approx(-7 * np.sqrt(2) / 18, abs=1e-14)
 
 
