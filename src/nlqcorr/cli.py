@@ -35,7 +35,7 @@ import numpy as np
 from . import entropy, protocols, qstate
 from ._version import __version__
 from .dynamics import NumericalError, integrate_qvn
-from .hamfun import catalogue_entry
+from .hamfun import HamiltonianFunction, catalogue_entry
 
 LOCALITY_PASS_TOL = 1e-10
 HISTORY_PASS_TOL = 1e-12
@@ -280,9 +280,9 @@ def _figure_grid(cfg: dict, detections) -> np.ndarray:
     return np.arange(n + 1) * cfg["dt"]
 
 
-def _figure_hamiltonians(cfg: dict):
-    kind = "linear-z" if cfg["linear_mode"] else "quadratic-z"
-    return catalogue_entry(kind, cfg["A"]), catalogue_entry(kind, cfg["B"])
+def _generator(cfg: dict, coef: float) -> HamiltonianFunction:
+    """The pair commands' sigma_z generator with coefficient ``coef``, as ``linear_mode`` picks it."""
+    return catalogue_entry("linear-z" if cfg["linear_mode"] else "quadratic-z", coef)
 
 
 def _figure_observables() -> dict[str, np.ndarray]:
@@ -315,7 +315,7 @@ def _print_outcome_table(table: protocols.MeasurementOutcomeTable) -> None:
 def run_figure(cfg: dict, protocol: str) -> int:
     grid = _figure_grid(cfg, ("t1", "t2"))
     psi0, t1, t2 = cfg["state"].psi, cfg["t1"], cfg["t2"]
-    h1, h2 = _figure_hamiltonians(cfg)
+    h1, h2 = _generator(cfg, cfg["A"]), _generator(cfg, cfg["B"])
     traj = protocols.ensemble_average_trajectory(
         protocol, psi0, h1, h2, t1, t2,
         _figure_observables(), grid, cfg["direction_a"], cfg["direction_b"],
@@ -358,8 +358,7 @@ def run_entropy_sweep(cfg: dict) -> int:
 def run_locality_check(cfg: dict) -> int:
     grid = _figure_grid(cfg, ("t1",))
     psi0 = cfg["state"].psi
-    kind = "linear-z" if cfg["linear_mode"] else "quadratic-z"
-    h1 = catalogue_entry(kind, cfg["A"])
+    h1 = _generator(cfg, cfg["A"])
     protocol = cfg["protocol"]
     b_values, t2_values = cfg["b_values"], cfg["t2_values"]
     if protocol == "zeno" and min(t2_values) < cfg["t1"]:
@@ -367,7 +366,7 @@ def run_locality_check(cfg: dict) -> int:
         raise ConfigError("need t1 <= t2")
 
     def series(b_coef, t2, keep, protocol="switching"):
-        h2 = catalogue_entry(kind, b_coef)
+        h2 = _generator(cfg, b_coef)
         return protocols.reduced_state_series(
             protocol, psi0, h1, h2, cfg["t1"], t2, grid, keep, cfg["direction_a"])
 

@@ -4,11 +4,12 @@
 4th-order steps on a uniform grid. The generator jumps at every switching
 time, so each step is split at the switches strictly inside it and never
 samples across one; a switch within 1e-9 dt before or 1e-12 max(1, t_end)
-after a grid point acts at that point. Between two switches the active term
-set is fixed, and the right-hand side is built once: either the stacked
-product of all active generator terms c <O>^p O, or, for any other
-generator, each factor's gradient applied to its own axis of psi
-(``SwitchedHamiltonian.apply``); the composite matrix is never formed.
+after a grid point acts at that point. ``SwitchedHamiltonian`` is only the
+record of parts and schedule; how it acts on a state is decided here, in
+``_segment_rhs``. Between two switches the active term set is fixed, and the
+right-hand side is built once: either the stacked product of all active
+generator terms c <O>^p O, or, for any other generator, each factor's
+gradient applied to its own axis of psi; the composite matrix is never formed.
 States are never renormalized; norm drift is a monitored error channel.
 One RK4 step (``_rk4``) serves every flow here; the q-deformed right-hand
 side raises as soon as a stage leaves that flow's domain.
@@ -33,13 +34,7 @@ import numpy as np
 
 from . import qstate
 from ._backend import backend_name
-from .hamfun import (
-    HamiltonianFunction,
-    NonFiniteGradient,
-    SwitchedHamiltonian,
-    SwitchingSchedule,
-    kappa,
-)
+from .hamfun import HamiltonianFunction, NonFiniteGradient, SwitchedHamiltonian, SwitchingSchedule
 
 NORM_DRIFT_ABORT = 1e-6
 CHECK_BATCH = 64  # RK4 steps run between two norm checks in ``integrate``
@@ -73,7 +68,7 @@ def _as_switched(h, dim: int) -> SwitchedHamiltonian:
     if isinstance(h, SwitchedHamiltonian):
         return h
     if isinstance(h, HamiltonianFunction):
-        return SwitchedHamiltonian((h,), (dim,), (math.inf,))
+        return SwitchedHamiltonian((h,), SwitchingSchedule((math.inf,), (dim,)))
     raise TypeError("expected a SwitchedHamiltonian or HamiltonianFunction")
 
 
@@ -86,34 +81,58 @@ def _rk4(f, y: np.ndarray, dt: float) -> np.ndarray:
     return y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def _state_rhs(h: SwitchedHamiltonian, t_mid: float):
-    """psi -> -i M(t_mid, psi) psi, with the active term set frozen at ``t_mid``.
+def _segment_rhs(h: SwitchedHamiltonian):
+    """t_mid -> (psi -> -i M(t_mid, psi) psi), the right-hand side of one segment.
 
-    Structured generators M = sum_j c_j <O_j>^p_j O_j apply all active terms
-    as one stacked product; any other generator goes factor by factor
-    through :meth:`SwitchedHamiltonian.apply`.
+    The active parts are those switched on at ``t_mid``. When every part
+    carries generator terms c <O>^p O, the active terms act as one stacked
+    product; otherwise each active part's gradient acts on its own axis of
+    psi viewed as a (d_1, ..., d_n) tensor, from that factor's reduced
+    density matrix. The composite matrix is never formed.
     """
-    struct = h.structured()
-    if struct is None:
+    dims = h.schedule.subsystem_dims
+    detection = np.array(h.schedule.detection_times)
+    d = math.prod(dims)
+    structured = all(p.terms is not None for p in h.parts)
+    if structured:
+        terms = [(k, term) for k, p in enumerate(h.parts) for term in p.terms]
+        owner = np.array([k for k, _ in terms], dtype=np.int64)
+        all_ops = np.stack([qstate.lift_operator(term.operator, dims, k) for k, term in terms])
+        all_coefs = np.array([term.coef for _, term in terms], dtype=float)
+        all_powers = np.array([term.power for _, term in terms], dtype=np.int64)
+
+    def rhs(t_mid: float):
+        # a part is on strictly before its detection time; at that time it counts as detected
+        on = t_mid < detection
+        if structured:
+            on = on[owner]
+            m = int(on.sum())
+            # the active operators stacked as one (m d, d) matrix; np.dot beats @ on tiny arrays
+            ops, icoefs, powers = all_ops[on].reshape(m * d, d), -1j * all_coefs[on], all_powers[on]
+
+            def f(psi):
+                w = np.dot(ops, psi).reshape(m, d)
+                return np.dot(icoefs * np.dot(w, psi.conj()).real ** powers, w)
+
+            return f
+        active = [(k, p) for k, p in enumerate(h.parts) if on[k]]
+
         def f(psi):
+            out = np.zeros_like(psi)
             try:
-                return -1j * h.apply(t_mid, psi)
+                for k, part in active:
+                    # psi as (before, d_k, after), and the k-th reduced density matrix
+                    x = psi.reshape(math.prod(dims[:k]), dims[k], -1)
+                    xk = x.transpose(1, 0, 2).reshape(dims[k], -1)
+                    out += (part.effective_matrix(xk @ xk.conj().T) @ x).reshape(-1)
             except NonFiniteGradient:
                 # a blown-up stage: the norm check names the first bad sample
                 return np.full_like(psi, np.nan)
+            return -1j * out
 
         return f
-    ops, coefs, powers, tsw = struct
-    on = t_mid < tsw
-    m, d = int(on.sum()), h.dim
-    # the active operators stacked as one (m d, d) matrix; np.dot beats @ on tiny arrays
-    ops, icoefs, powers = ops[on].reshape(m * d, d), -1j * coefs[on], powers[on]
 
-    def f(psi):
-        w = np.dot(ops, psi).reshape(m, d)
-        return np.dot(icoefs * np.dot(w, psi.conj()).real ** powers, w)
-
-    return f
+    return rhs
 
 
 def _grid(t_end: float, dt: float) -> np.ndarray:
@@ -143,8 +162,9 @@ def integrate(h, psi0, t_end: float, dt: float,
     """
     psi0 = qstate.check_state(psi0)
     h = _as_switched(h, psi0.size)
-    if h.dim != psi0.size:
-        raise ValueError(f"state dim {psi0.size} does not match Hamiltonian dim {h.dim}")
+    dim = math.prod(h.schedule.subsystem_dims)
+    if dim != psi0.size:
+        raise ValueError(f"state dim {psi0.size} does not match Hamiltonian dim {dim}")
     times = _grid(t_end, dt)
     obs = qstate.check_observables(observables)
     n = times.size - 1
@@ -154,11 +174,12 @@ def integrate(h, psi0, t_end: float, dt: float,
     # the segments between switching times, each with its own right-hand side;
     # a segment no longer than eps is dropped, its end switching straight to the next
     eps = 1e-12 * max(1.0, n * dt)
-    events = sorted({float(tk) for tk in h.detection_times
+    events = sorted({tk for tk in h.schedule.detection_times
                      if math.isfinite(tk) and eps < tk < n * dt - eps})
     breaks = [0.0] + events + [n * dt]
     segments = [(ta, tb) for ta, tb in zip(breaks[:-1], breaks[1:]) if tb - ta > eps]
-    rhs = [_state_rhs(h, 0.5 * (ta + tb)) for ta, tb in segments]
+    segment_rhs = _segment_rhs(h)
+    rhs = [segment_rhs(0.5 * (ta + tb)) for ta, tb in segments]
     ends = [tb for _, tb in segments]
 
     grid = times.tolist()
@@ -202,8 +223,9 @@ def integrate(h, psi0, t_end: float, dt: float,
     values = {name: np.einsum("ti,ij,tj->t", states.conj(), op, states).real
               for name, op in obs.items()}
     meta = {"integrator": "rk4-fixed", "dt": dt, "backend": backend_name(),
-            "schedule": h.detection_times, "hamiltonians": h.labels,
-            "fd_gradient": h.uses_fd_gradient}
+            "schedule": h.schedule.detection_times,
+            "hamiltonians": tuple(p.label for p in h.parts),
+            "fd_gradient": tuple(p.uses_fd_gradient for p in h.parts)}
     return Trajectory(times=times, states=states, observables=values, metadata=meta)
 
 
@@ -216,14 +238,14 @@ def exact_pair_propagator(psi0, coef_a: float, coef_b: float,
     """Closed-form switched evolution for the quadratic sigma_z pair.
 
     Each qubit factor rotates about z with the conserved initial average,
-    exp(-i c_k <sigma_z(0)>_k sigma_z kappa(t, t_k)); exactly norm preserving.
+    exp(-i c_k <sigma_z(0)>_k sigma_z min(t, t_k)); exactly norm preserving.
     ``t`` may be +inf only once both particles are detected.
     """
     psi0 = qstate.check_state(psi0)
     if psi0.size != 4:
         raise ValueError("exact_pair_propagator expects a two-qubit state (dim 4)")
-    if t < 0:
-        raise ValueError("t must be >= 0")
+    if not t >= 0:
+        raise ValueError(f"t must be >= 0 and finite or +inf, got {t!r}")
     if schedule.subsystem_dims != (2, 2):
         raise ValueError("schedule must describe two qubits")
     t1, t2 = schedule.detection_times
@@ -231,7 +253,8 @@ def exact_pair_propagator(psi0, coef_a: float, coef_b: float,
     p0, p1, p2, p3 = (psi0 * psi0.conj()).real
     z1 = (p0 + p1) - (p2 + p3)
     z2 = (p0 + p2) - (p1 + p3)
-    k1, k2 = kappa(t, t1), kappa(t, t2)
+    # each factor's switched-on duration
+    k1, k2 = min(t, t1), min(t, t2)
     if not math.isfinite(k1 + k2):
         raise ValueError("t = inf leaves a never-detected particle; switched durations must be finite")
     alpha = coef_a * z1 * k1
@@ -287,8 +310,8 @@ def switched_states(psi0, hs, taus, dims=(2, 2)) -> np.ndarray:
     result is the state after factor k evolved for ``taus[k][i]``. The
     switched multiparticle flow factorizes exactly into one-particle unitaries
     (lifted generator terms of different factors commute at all times), so
-    passing the kappa integrals as durations reproduces the full switched
-    solution.
+    passing each factor's switched-on duration min(t, t_k) reproduces the
+    full switched solution.
     """
     psi0 = qstate.check_state(psi0)
     dims = tuple(int(d) for d in dims)

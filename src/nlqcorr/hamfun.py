@@ -17,7 +17,9 @@ then falls back to central finite differences over the Hermitian entries of
 contributes its own energy evaluated on its reduced density matrix, gated by a
 reversed-step switching factor that shuts the term off at that subsystem's
 detection time. Reduced dynamics of one subsystem is then independent of every
-other subsystem's Hamiltonian function and detection time.
+other subsystem's Hamiltonian function and detection time. The composite,
+:class:`SwitchedHamiltonian`, only records the parts and their validated
+:class:`SwitchingSchedule`; ``dynamics`` decides how it acts on a state.
 """
 
 from __future__ import annotations
@@ -33,30 +35,6 @@ from . import qstate
 
 COMMUTATOR_TOL = 1e-12
 FD_STEP = 1e-5  # central-difference step of the finite-difference gradient
-
-
-def theta(x: float) -> int:
-    """Reversed step: 1 for x < 0, else 0.
-
-    theta(t - t_k) keeps a subsystem's generator on strictly before its
-    detection time t_k; at x = 0 the particle already counts as detected.
-    """
-    if math.isnan(x):
-        raise ValueError("theta argument must not be NaN")
-    return 1 if x < 0 else 0
-
-
-def kappa(t: float, t_k: float) -> float:
-    """Integral of theta(tau - t_k) over [0, t]: min(t, t_k).
-
-    Non-decreasing in t and constant once t passes the detection time; with
-    t_k = +inf it reduces to t (the never-detected sentinel).
-    """
-    if math.isnan(t):
-        raise ValueError("kappa requires t to be finite or +inf, got nan")
-    if t < 0:
-        raise ValueError("kappa requires t >= 0")
-    return min(t, t_k)
 
 
 # ---------------------------------------------------------------------------
@@ -316,107 +294,31 @@ class SwitchingSchedule:
         object.__setattr__(self, "subsystem_dims", dims)
 
 
+@dataclass(frozen=True)
 class SwitchedHamiltonian:
-    """Time-parametrized composite sum_k theta(t - t_k) H_k(rho_k).
+    """The composite sum_k theta(t - t_k) H_k(rho_k) as a record: one part per subsystem.
 
-    Produced by :func:`polchinski_extend`. Each part acts on its own reduced
-    density matrix, so switching one subsystem off never feeds back on the
-    others' reduced dynamics.
+    Produced by :func:`polchinski_extend`; part k acts on the k-th reduced
+    density matrix and is switched off at the k-th detection time of
+    ``schedule``. How the composite acts on a state is ``dynamics``' business.
     """
 
-    def __init__(self, parts: Sequence[HamiltonianFunction], dims: Sequence[int],
-                 detection_times: Sequence[float]):
-        self.parts = tuple(parts)
-        self.dims = tuple(int(d) for d in dims)
-        self.detection_times = tuple(float(t) for t in detection_times)
-        if not (len(self.parts) == len(self.dims) == len(self.detection_times)):
-            raise ValueError("parts, dims and detection times must align")
-        for part, d in zip(self.parts, self.dims):
+    parts: tuple[HamiltonianFunction, ...]
+    schedule: SwitchingSchedule
+
+    def __post_init__(self):
+        if not isinstance(self.schedule, SwitchingSchedule):
+            raise TypeError("schedule must be a SwitchingSchedule")
+        parts = tuple(self.parts)
+        dims = self.schedule.subsystem_dims
+        if len(parts) != len(dims):
+            raise ValueError("need exactly one Hamiltonian function per subsystem")
+        for part, d in zip(parts, dims):
             if part.dim is not None and part.dim != d:
                 raise ValueError(
                     f"part {part.label!r} has dimension {part.dim}, subsystem expects {d}"
                 )
-        self._structured = None
-        self._structured_known = False
-
-    @property
-    def dim(self) -> int:
-        return int(np.prod(self.dims))
-
-    @property
-    def labels(self) -> tuple[str, ...]:
-        return tuple(p.label for p in self.parts)
-
-    def energy(self, t: float, rho) -> float:
-        rho = np.asarray(rho, dtype=complex)
-        total = 0.0
-        for k, (part, tk) in enumerate(zip(self.parts, self.detection_times)):
-            if theta(t - tk):
-                total += part.energy(qstate.partial_trace(rho, self.dims, k + 1))
-        return float(total)
-
-    def _factors(self, t: float, psi):
-        """(k, part, x_k, rho_k) for every part switched on at time t.
-
-        ``x_k`` is psi viewed as (before, d_k, after) and ``rho_k`` = sum x x^dag
-        over the other factors, the k-th reduced density matrix of |psi><psi|.
-        """
-        for k, (part, tk) in enumerate(zip(self.parts, self.detection_times)):
-            if theta(t - tk):
-                d = self.dims[k]
-                x = psi.reshape(math.prod(self.dims[:k]), d, -1)
-                xk = x.transpose(1, 0, 2).reshape(d, -1)
-                yield k, part, x, xk @ xk.conj().T
-
-    def effective_matrix(self, t: float, psi) -> np.ndarray:
-        """Composite Hermitian generator at time t for the pure state psi."""
-        psi = np.asarray(psi, dtype=complex)
-        m = np.zeros((self.dim, self.dim), dtype=complex)
-        for k, part, _, rho_k in self._factors(t, psi):
-            m += qstate.lift_operator(part.effective_matrix(rho_k), self.dims, k)
-        return m
-
-    def apply(self, t: float, psi) -> np.ndarray:
-        """M(t, psi) psi, factor by factor, without forming the composite matrix.
-
-        Each switched-on part's gradient acts on its own axis of psi viewed
-        as a (d_1, ..., d_n) tensor; equals ``effective_matrix(t, psi) @ psi``.
-        """
-        psi = np.asarray(psi, dtype=complex)
-        out = np.zeros_like(psi)
-        for _, part, x, rho_k in self._factors(t, psi):
-            out += (part.effective_matrix(rho_k) @ x).reshape(-1)
-        return out
-
-    def structured(self):
-        """Stacked (ops, coefs, powers, switch_times) for the stacked state right-hand side.
-
-        Available only when every part carries explicit generator terms;
-        returns None otherwise (the integrator then uses :meth:`apply`).
-        """
-        if not self._structured_known:
-            if any(p.terms is None for p in self.parts):
-                self._structured = None
-            else:
-                ops, coefs, powers, tsw = [], [], [], []
-                for k, (part, tk) in enumerate(zip(self.parts, self.detection_times)):
-                    for term in part.terms:
-                        ops.append(qstate.lift_operator(term.operator, self.dims, k))
-                        coefs.append(term.coef)
-                        powers.append(term.power)
-                        tsw.append(tk)
-                self._structured = (
-                    np.ascontiguousarray(np.stack(ops)),
-                    np.asarray(coefs, dtype=float),
-                    np.asarray(powers, dtype=np.int64),
-                    np.asarray(tsw, dtype=float),
-                )
-            self._structured_known = True
-        return self._structured
-
-    @property
-    def uses_fd_gradient(self) -> tuple[bool, ...]:
-        return tuple(p.uses_fd_gradient for p in self.parts)
+        object.__setattr__(self, "parts", parts)
 
 
 def polchinski_extend(h_list: Sequence[HamiltonianFunction], dims: Sequence[int],
@@ -428,10 +330,8 @@ def polchinski_extend(h_list: Sequence[HamiltonianFunction], dims: Sequence[int]
     is the plain unswitched multiparticle extension.
     """
     dims = tuple(int(d) for d in dims)
-    if len(h_list) != len(dims):
-        raise ValueError("need exactly one Hamiltonian function per subsystem")
     if schedule.subsystem_dims != dims:
         raise ValueError(
             f"schedule dims {schedule.subsystem_dims} do not match subsystem dims {dims}"
         )
-    return SwitchedHamiltonian(h_list, dims, schedule.detection_times)
+    return SwitchedHamiltonian(tuple(h_list), schedule)

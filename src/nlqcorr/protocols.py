@@ -212,11 +212,11 @@ def zeno_branches(psi0, h1, h2, t1, t2, direction_a, direction_b, times):
     min(t1, t2), where the particle detected first (#1 on a tie) is projected
     along its axis and frozen; in each branch the other particle then evolves
     from its branch-conditioned reduced state up to each of ``times``, and
-    stops at its own detection time. Returns ``(first, [(sign, weight, states
-    or None), ...])``: ``first`` is the projected particle (1 or 2), ``sign``
-    its outcome, and ``states`` the (len(times), 4) pair states in (#1, #2)
-    factor order; a branch whose projection weight falls below
-    ``DEAD_BRANCH_TOL`` carries ``None``.
+    stops at its own detection time. Returns ``(first, [(weight, states or
+    None), ...])``: ``first`` is the projected particle (1 or 2), the branches
+    come in the order of its outcomes +1, -1, and ``states`` holds the
+    (len(times), 4) pair states in (#1, #2) factor order; a branch whose
+    projection weight falls below ``DEAD_BRANCH_TOL`` carries ``None``.
     """
     first, h_other, axis = (1, h2, direction_a) if t1 <= t2 else (2, h1, direction_b)
     t_first, t_other = min(t1, t2), max(t1, t2)
@@ -228,17 +228,17 @@ def zeno_branches(psi0, h1, h2, t1, t2, direction_a, direction_b, times):
     psi = (psi if first == 1 else psi.T).reshape(-1)
     taus = np.minimum(times, t_other) - t_first
     branches = []
-    for sign, e in zip((1, -1), qstate.projector(axis)):
+    for e in qstate.projector(axis):
         v = np.kron(e, qstate.identity(2)) @ psi
         w = float(np.vdot(v, v).real)
         if w < DEAD_BRANCH_TOL:
-            branches.append((sign, 0.0, None))
+            branches.append((0.0, None))
             continue
         v = v / np.sqrt(w)
         u = propagator_family(h_other, qstate.partial_trace(np.outer(v, v.conj()), (2, 2), 2), taus)
         # kron(I, u) @ v for every duration at once, then back in (#1, #2) order
         states = v.reshape(2, 2) @ u.transpose(0, 2, 1)
-        branches.append((sign, w, (states if first == 1 else states.transpose(0, 2, 1)).reshape(-1, 4)))
+        branches.append((w, (states if first == 1 else states.transpose(0, 2, 1)).reshape(-1, 4)))
     return first, branches
 
 
@@ -258,7 +258,7 @@ def zeno_correlator(psi0, h1: HamiltonianFunction, h2: HamiltonianFunction,
     _check_table_times(t1, t2)
     # read after both detections, where the pair state is frozen
     first, branches = zeno_branches(psi0, h1, h2, t1, t2, direction_a, direction_b, [math.inf])
-    rows = [(w, None if states is None else states[0]) for _, w, states in branches]
+    rows = [(w, None if states is None else states[0]) for w, states in branches]
     return _outcome_table("zeno", t1, t2, rows, (direction_a, direction_b), first)
 
 
@@ -277,7 +277,7 @@ def _series_states(protocol: str, psi0, h1, h2, t1, t2, t_grid, direction_a, dir
     Switching: ``head`` holds the switched pair state at every grid time and
     there are no branches. Zeno: ``head`` holds the joint unswitched states at
     the grid times up to the first detection, and each projection branch of
-    :func:`zeno_branches` gives ``(sign, weight, states)`` at the later times.
+    :func:`zeno_branches` gives ``(weight, states)`` at the later times.
     A dead branch carries ``None``.
     """
     if protocol == "switching":
@@ -305,7 +305,7 @@ def reduced_state_series(protocol: str, psi0, h1: HamiltonianFunction,
     parts = [qstate.reduced_states(head, (2, 2), keep)]
     if branches:
         parts.append(sum(w * qstate.reduced_states(states, (2, 2), keep)
-                         for _, w, states in branches if states is not None))
+                         for w, states in branches if states is not None))
     return np.concatenate(parts)
 
 
@@ -340,14 +340,14 @@ def ensemble_average_trajectory(protocol: str, psi0, h1: HamiltonianFunction,
         return Trajectory(times=t_grid, states=head, observables=averages(head), metadata=meta)
 
     pre = averages(head)
-    post = [(w, averages(states)) for _, w, states in branches if states is not None]
+    post = [(w, averages(states)) for w, states in branches if states is not None]
     values = {name: np.concatenate([pre[name], sum(w * vals[name] for w, vals in post)])
               for name in obs}
 
     meta["integrator"] = "closed-form branch mixture"
     meta["direction_a"] = tuple(float(x) for x in np.asarray(direction_a, dtype=float))
     meta["direction_b"] = tuple(float(x) for x in np.asarray(direction_b, dtype=float))
-    meta["branch_weights"] = tuple(w for _, w, _ in branches)
+    meta["branch_weights"] = tuple(w for w, _ in branches)
     return Trajectory(times=t_grid, states=None, observables=values, metadata=meta)
 
 

@@ -24,55 +24,6 @@ def wirtinger_fd(h, psi, step=1e-5):
     return out
 
 
-# --- theta and kappa ---
-
-def test_theta_reversed_step_values():
-    assert hamfun.theta(-1.0) == 1
-    assert hamfun.theta(1.0) == 0
-    assert hamfun.theta(0.0) == 0
-
-
-def test_theta_infinities():
-    assert hamfun.theta(-math.inf) == 1
-    assert hamfun.theta(math.inf) == 0
-    with pytest.raises(ValueError):
-        hamfun.theta(math.nan)
-
-
-def test_kappa_before_detection():
-    assert hamfun.kappa(2.0, 3.5) == 2.0
-
-
-def test_kappa_after_detection_matches_quadrature():
-    # independent evaluation of the integral of the reversed step
-    t, tk = 8.0, 3.5
-    grid = np.linspace(0, t, 800001)
-    riemann = np.trapezoid([1.0 if tau < tk else 0.0 for tau in grid], grid)
-    assert hamfun.kappa(t, tk) == 3.5
-    assert abs(riemann - hamfun.kappa(t, tk)) < 1e-4
-
-
-def test_kappa_never_sentinel():
-    for t in (0.0, 1.7, 42.0):
-        assert hamfun.kappa(t, math.inf) == t
-
-
-def test_kappa_rejects_nan():
-    with pytest.raises(ValueError, match="finite"):
-        hamfun.kappa(math.nan, 1.0)
-    with pytest.raises(ValueError, match="finite"):
-        hamfun.kappa(math.nan, math.inf)
-    assert hamfun.kappa(math.inf, 1.0) == 1.0
-
-
-def test_kappa_monotone(rng):
-    tk = 2.5
-    ts = np.sort(rng.uniform(0, 6, size=50))
-    vals = [hamfun.kappa(t, tk) for t in ts]
-    assert all(b >= a for a, b in zip(vals, vals[1:]))
-    assert all(v == tk for t, v in zip(ts, vals) if t >= tk)
-
-
 # --- effective Hamiltonians ---
 
 def test_effective_hamiltonian_linear_case(rng):
@@ -174,15 +125,19 @@ def test_schedule_validation():
     assert NEVER.detection_times == (math.inf, math.inf)
 
 
+def composite_rhs(comp, t):
+    """The integrator's right-hand side -i M(t, psi) psi of the composite."""
+    return dynamics._segment_rhs(comp)(t)
+
+
 def test_polchinski_linear_additivity(rng):
     h1m, h2m = random_hermitian(rng, 2), random_hermitian(rng, 2)
     comp = hamfun.polchinski_extend([hamfun.linear(h1m), hamfun.linear(h2m)], (2, 2), NEVER)
     total = np.kron(h1m, I2) + np.kron(I2, h2m)
+    rhs = composite_rhs(comp, 0.0)
     for _ in range(10):
         psi = random_state(rng, 4)
-        rho = np.outer(psi, psi.conj())
-        assert abs(comp.energy(0.0, rho) - qstate.expectation(psi, total)) <= 1e-12
-        assert np.max(np.abs(comp.effective_matrix(0.0, psi) - total)) <= 1e-12
+        assert np.max(np.abs(rhs(psi) - -1j * total @ psi)) <= 1e-12
 
 
 def test_polchinski_switching_kills_terms(rng):
@@ -193,12 +148,13 @@ def test_polchinski_switching_kills_terms(rng):
     rho = np.outer(psi, psi.conj())
     # at t=5 only the second-particle term survives
     z2 = np.trace(qstate.partial_trace(rho, (2, 2), 2) @ qstate.sigma_z).real
-    assert abs(comp.energy(5.0, rho) - 0.5 * z2**2 / 2) <= 1e-12
-    m = comp.effective_matrix(5.0, psi)
-    assert np.max(np.abs(m - 0.5 * z2 * np.kron(I2, qstate.sigma_z))) <= 1e-12
+    m = 0.5 * z2 * np.kron(I2, qstate.sigma_z)
+    # at its detection time a particle already counts as detected
+    for t in (3.5, 5.0):
+        assert np.max(np.abs(composite_rhs(comp, t)(psi) - -1j * m @ psi)) <= 1e-12
     # past both detection times the composite vanishes on every state
-    assert comp.energy(9.0, rho) == 0.0
-    assert np.max(np.abs(comp.effective_matrix(9.0, psi))) == 0.0
+    for t in (8.0, 9.0):
+        assert np.max(np.abs(composite_rhs(comp, t)(psi))) == 0.0
 
 
 def test_polchinski_never_matches_unswitched(rng):
@@ -208,10 +164,10 @@ def test_polchinski_never_matches_unswitched(rng):
     for _ in range(100):
         psi = random_state(rng, 4)
         rho = np.outer(psi, psi.conj())
-        direct = (h1.energy(qstate.partial_trace(rho, (2, 2), 1))
-                  + h2.energy(qstate.partial_trace(rho, (2, 2), 2)))
+        direct = (np.kron(h1.effective_matrix(qstate.partial_trace(rho, (2, 2), 1)), I2)
+                  + np.kron(I2, h2.effective_matrix(qstate.partial_trace(rho, (2, 2), 2))))
         for t in (0.0, 17.3, 1e6):
-            assert abs(comp.energy(t, rho) - direct) <= 1e-12
+            assert np.max(np.abs(composite_rhs(comp, t)(psi) - -1j * direct @ psi)) <= 1e-12
 
 
 def test_polchinski_dimension_mismatch():
@@ -222,20 +178,40 @@ def test_polchinski_dimension_mismatch():
         hamfun.polchinski_extend([h1, h1], (2, 3), hamfun.SwitchingSchedule((math.inf,) * 2, (2, 3)))
 
 
-def test_structured_terms_cover_catalogue():
+def test_structured_terms_cover_catalogue(rng):
     h1 = hamfun.quadratic_average(qstate.sigma_z, 8.0)
     h2 = hamfun.linear(qstate.sigma_x)
-    comp = hamfun.polchinski_extend([h1, h2], (2, 2), hamfun.SwitchingSchedule((1.0, 2.0), (2, 2)))
-    ops, coefs, powers, tsw = comp.structured()
-    assert ops.shape == (2, 4, 4)
-    assert list(coefs) == [8.0, 1.0]
-    assert list(powers) == [1, 0]
-    assert list(tsw) == [1.0, 2.0]
-    # a state-functional part disables the structured path
-    mixed = hamfun.polchinski_extend(
-        [h1, hamfun.from_callable(lambda rho: 0.0)], (2, 2),
-        hamfun.SwitchingSchedule((1.0, 2.0), (2, 2)))
-    assert mixed.structured() is None
+    sched = hamfun.SwitchingSchedule((1.0, 2.0), (2, 2))
+    comp = hamfun.polchinski_extend([h1, h2], (2, 2), sched)
+    psi = random_state(rng, 4)
+    z1 = qstate.expectation(psi, np.kron(qstate.sigma_z, I2))
+    both = 8.0 * z1 * np.kron(qstate.sigma_z, I2) + np.kron(I2, qstate.sigma_x)
+    assert np.max(np.abs(composite_rhs(comp, 0.5)(psi) - -1j * both @ psi)) <= 1e-12
+    only_second = np.kron(I2, qstate.sigma_x)
+    assert np.max(np.abs(composite_rhs(comp, 1.5)(psi) - -1j * only_second @ psi)) <= 1e-12
+    assert dynamics.integrate(comp, psi, 0.1, 0.1).metadata["fd_gradient"] == (False, False)
+    # a state-functional part falls back to finite-difference gradients
+    mixed = hamfun.polchinski_extend([h1, hamfun.from_callable(lambda rho: 0.0)], (2, 2), sched)
+    assert dynamics.integrate(mixed, psi, 0.1, 0.1).metadata["fd_gradient"] == (False, True)
+
+
+def test_bad_detection_time_is_refused_before_any_step():
+    calls = []
+
+    def energy(rho):
+        calls.append(rho)
+        return np.trace(rho @ qstate.sigma_z).real ** 2 / 2
+
+    psi0 = qstate.tilted_pair_state()
+    for parts in ([hamfun.quadratic_average(qstate.sigma_z)] * 2, [hamfun.from_callable(energy)] * 2):
+        for times in ((math.nan, math.inf), (-1.0, 2.0), (2.0, math.nan)):
+            with pytest.raises(ValueError, match="detection times"):
+                dynamics.integrate(hamfun.SwitchedHamiltonian(
+                    parts, hamfun.SwitchingSchedule(times, (2, 2))), psi0, 1.0, 0.1)
+        # a composite is built on a validated schedule only, never on raw times
+        with pytest.raises(TypeError):
+            hamfun.SwitchedHamiltonian(parts, (math.nan, math.inf))
+    assert calls == []
 
 
 def test_catalogue_entries():

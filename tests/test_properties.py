@@ -170,8 +170,8 @@ def exact_pair_reference(psi0, coef_a, coef_b, schedule, t):
     z1 = np.trace(qstate.partial_trace(rho, (2, 2), keep=1) @ qstate.sigma_z).real
     z2 = np.trace(qstate.partial_trace(rho, (2, 2), keep=2) @ qstate.sigma_z).real
     t1, t2 = schedule.detection_times
-    alpha = coef_a * z1 * hamfun.kappa(t, t1)
-    beta = coef_b * z2 * hamfun.kappa(t, t2)
+    alpha = coef_a * z1 * min(t, t1)
+    beta = coef_b * z2 * min(t, t2)
     ph1 = np.array([np.exp(-1j * alpha), np.exp(1j * alpha)])
     ph2 = np.array([np.exp(-1j * beta), np.exp(1j * beta)])
     return np.kron(ph1, ph2) * psi0
@@ -296,7 +296,7 @@ def locality_series_per_point(protocol, psi0, h1, h2, t1, t2, grid, keep, direct
 
     if protocol == "switching":
         return np.stack([reduced(dynamics.switched_states(
-            psi0, (h1, h2), ([hamfun.kappa(t, t1)], [hamfun.kappa(t, t2)]))[0]) for t in grid])
+            psi0, (h1, h2), ([min(t, t1)], [min(t, t2)]))[0]) for t in grid])
     psi_t1 = dynamics.switched_states(psi0, (h1, h2), ([t1], [t1]))[0]
     branches = []
     for e in qstate.projector(direction_a):
@@ -661,7 +661,7 @@ def test_switched_states_matches_multiparty_integrator(setup):
     dt = 1e-3
     comp = hamfun.polchinski_extend(parts, dims, hamfun.SwitchingSchedule(tuple(times), dims))
     ref = dynamics.integrate(comp, psi0, steps * dt, dt).states[-1]
-    taus = [[hamfun.kappa(steps * dt, tk)] for tk in times]
+    taus = [[min(steps * dt, tk)] for tk in times]
     got = dynamics.switched_states(psi0, parts, taus, dims)[0]
     assert np.max(np.abs(got - ref)) <= 1e-7
 
@@ -689,16 +689,36 @@ def switched_generators(draw, structured_only=False):
     else:
         parts = [draw(factor_parts(d)) for d in dims]
     times = [draw(detection_times) for _ in dims]
-    h = hamfun.SwitchedHamiltonian(parts, dims, times)
-    return h, random_unitary(draw(seeds), h.dim)[:, 0], draw(st.floats(0.0, 2.5))
+    h = hamfun.SwitchedHamiltonian(parts, hamfun.SwitchingSchedule(tuple(times), dims))
+    return h, random_unitary(draw(seeds), int(np.prod(dims)))[:, 0], draw(st.floats(0.0, 2.5))
+
+
+def switched_on(h, t):
+    """(k, part) for every part of ``h`` still on at time t."""
+    return [(k, part) for k, (part, tk) in enumerate(zip(h.parts, h.schedule.detection_times))
+            if t < tk]
 
 
 @FAST
 @given(switched_generators())
 def test_factorwise_apply_matches_composite_matrix(setup):
     h, psi, t = setup
-    got = h.apply(t, psi)
-    assert np.max(np.abs(got - h.effective_matrix(t, psi) @ psi)) <= 1e-12
+    dims = h.schedule.subsystem_dims
+    rho = np.outer(psi, psi.conj())
+
+    def reduced(k):
+        # summed in the integrator's order: a finite-difference gradient magnifies
+        # the last bits of rho_k by 1 / FD_STEP
+        x = np.moveaxis(psi.reshape(dims), k, 0).reshape(dims[k], -1)
+        rho_k = x @ x.conj().T
+        assert np.max(np.abs(rho_k - qstate.partial_trace(rho, dims, k + 1))) <= 1e-14
+        return rho_k
+
+    m = np.zeros((psi.size, psi.size), dtype=complex)
+    for k, part in switched_on(h, t):
+        m += qstate.lift_operator(part.effective_matrix(reduced(k)), dims, k)
+    got = dynamics._segment_rhs(h)(t)(psi)
+    assert np.max(np.abs(got - -1j * m @ psi)) <= 1e-12
 
 
 def state_generator_loop(psi, ops, coefs, powers):
@@ -716,10 +736,11 @@ def state_generator_loop(psi, ops, coefs, powers):
 @given(switched_generators(structured_only=True))
 def test_stacked_structured_rhs_matches_term_loop(setup):
     h, psi, t = setup
-    ops, coefs, powers, tsw = h.structured()
-    on = t < tsw
-    ref = state_generator_loop(psi, ops[on], coefs[on], powers[on])
-    assert np.max(np.abs(dynamics._state_rhs(h, t)(psi) - ref)) <= 1e-14
+    dims = h.schedule.subsystem_dims
+    terms = [(k, term) for k, part in switched_on(h, t) for term in part.terms]
+    ref = state_generator_loop(psi, [qstate.lift_operator(term.operator, dims, k) for k, term in terms],
+                               [term.coef for _, term in terms], [term.power for _, term in terms])
+    assert np.max(np.abs(dynamics._segment_rhs(h)(t)(psi) - ref)) <= 1e-14
 
 
 def fd_gradient_loop(energy, rho, step):
@@ -791,7 +812,8 @@ def test_structured_and_generic_paths_give_one_trajectory(data, a, b, seed_op, s
     psi0 = pair_state(seed_psi)
     structured = hamfun.polchinski_extend(catalogue_pair, (2, 2), sched)
     generic = hamfun.polchinski_extend(wrapped_pair, (2, 2), sched)
-    assert structured.structured() is not None and generic.structured() is None
+    # the stacked path needs terms on every part, the factor-wise path takes the rest
+    assert all(p.terms for p in catalogue_pair) and not any(p.terms for p in wrapped_pair)
     ref = dynamics.integrate(structured, psi0, n * dt, dt)
     got = dynamics.integrate(generic, psi0, n * dt, dt)
     assert np.max(np.abs(got.states - ref.states)) <= 1e-12
