@@ -344,11 +344,11 @@ def run_entropy_sweep(cfg: dict) -> int:
     dist = cfg["dist"]
     rows = []
     for order in cfg["alpha_range"]:
-        at_one = abs(order - 1.0) < 1e-12
+        snapped = 1.0 if abs(order - 1.0) < 1e-12 else order
         rows.append((
             order,
-            entropy.renyi_entropy(dist, 1.0 if at_one else order, base=2.0, limit=at_one),
-            entropy.tsallis_entropy(dist, 1.0 if at_one else order, limit=at_one),
+            entropy.renyi_entropy(dist, snapped, base=2.0),
+            entropy.tsallis_entropy(dist, snapped),
             entropy.shannon_entropy(dist, base=2.0),
         ))
     _write_result(cfg, "entropy-sweep", "closed-form", ["order", "renyi", "tsallis", "shannon"], rows)
@@ -372,8 +372,8 @@ def run_locality_check(cfg: dict) -> int:
 
     sweep = [(b_coef, t2) for b_coef in b_values for t2 in t2_values]
     if protocol == "switching":
-        baseline = series(b_values[0], t2_values[0], keep=1)
-        devs = [series(b_coef, t2, keep=1) - baseline for b_coef, t2 in sweep]
+        runs = [series(b_coef, t2, keep=1) for b_coef, t2 in sweep]
+        devs = [run - runs[0] for run in runs]  # the first sweep entry is the baseline
         quantity = "max deviation of reduced state #1 across the (B, t2) sweep"
     else:
         devs = [series(b_coef, t2, keep=2, protocol="zeno") - series(b_coef, t2, keep=2)

@@ -34,13 +34,13 @@ import numpy as np
 
 from . import qstate
 from ._backend import backend_name
-from .hamfun import HamiltonianFunction, NonFiniteGradient, SwitchedHamiltonian, SwitchingSchedule
+from .hamfun import COMMUTATOR_TOL, HamiltonianFunction, NonFiniteGradient, SwitchedHamiltonian, SwitchingSchedule
 
 NORM_DRIFT_ABORT = 1e-6
 CHECK_BATCH = 64  # RK4 steps run between two norm checks in ``integrate``
 QVN_EIG_FLOOR = 1e-12
 QVN_NEG_TOL = -1e-10
-FALLBACK_DT = 1e-3  # RK4 step of ``propagator_family`` for a non-conserved generator
+FALLBACK_DT = 1e-3  # RK4 step of ``propagator_family`` when the closed form is not exact
 
 
 class NumericalError(RuntimeError):
@@ -267,12 +267,14 @@ def exact_pair_propagator(psi0, coef_a: float, coef_b: float,
 def propagator_family(h: HamiltonianFunction, rho0, durations) -> np.ndarray:
     """One-particle flow unitaries for a 1-d array of durations, shape (n, d, d).
 
-    Closed form whenever the function's generator is conserved along its own
-    flow, which covers the whole built-in catalogue: one diagonalization, then
-    the phases exp(-i w tau) for every duration at once. Otherwise RK4 on the
-    unitary at ``FALLBACK_DT`` resolution, integrated incrementally through
-    the sorted distinct durations. Entries follow the input order; repeated
-    durations share one unitary.
+    Closed form exp(-i G(rho0) tau) when G stays at G(rho0): its terms commute
+    pairwise (``h.terms_commute``), or G(rho0) commutes with rho0, a fixed
+    point, to ``COMMUTATOR_TOL`` relative to G(rho0). The whole catalogue
+    qualifies: one diagonalization, then the phases exp(-i w tau) for every
+    duration at once. Otherwise RK4 on the unitary at ``FALLBACK_DT`` through
+    the sorted distinct durations; a unitary off unitarity by more than
+    ``NORM_DRIFT_ABORT`` raises ``NumericalError``. Entries follow the input
+    order; repeated durations share one unitary.
     """
     taus = np.asarray(durations, dtype=float)
     if taus.ndim != 1:
@@ -280,25 +282,39 @@ def propagator_family(h: HamiltonianFunction, rho0, durations) -> np.ndarray:
     if not ((taus >= 0) & (taus < np.inf)).all():
         raise ValueError("durations must be finite and >= 0; a never-detected particle has none at t = inf")
     rho0 = np.asarray(rho0, dtype=complex)
-    if h.conserved_generator:
-        w, v = qstate.eigh(h.effective_matrix(rho0))
+    g = h.effective_matrix(rho0)
+    # the scale is floored at the smallest normal float, below which G(rho0) has no relative precision
+    if h.terms_commute or (np.max(np.abs(g @ rho0 - rho0 @ g))
+                           <= COMMUTATOR_TOL * max(np.max(np.abs(g)), np.finfo(float).tiny)):
+        w, v = qstate.eigh(g)
         # U(tau) = sum_k exp(-i w_k tau) P_k over the eigenprojectors P_k = v_k v_k^dag
         proj = v.T[:, :, None] * v.T.conj()[:, None, :]
         return np.tensordot(np.exp(-1j * np.multiply.outer(taus, w)), proj, axes=1)
 
     def deriv(u):
-        return -1j * (h.effective_matrix(u @ rho0 @ u.conj().T) @ u)
+        try:
+            return -1j * (h.effective_matrix(u @ rho0 @ u.conj().T) @ u)
+        except NonFiniteGradient:
+            # a blown-up stage: the unitarity check names the duration interval
+            return np.full_like(u, np.nan)
 
     distinct, inverse = np.unique(taus, return_inverse=True)
     out = np.empty((distinct.size,) + rho0.shape, dtype=complex)
-    u = qstate.identity(rho0.shape[0])
+    u = eye = qstate.identity(rho0.shape[0])
     t_cur = 0.0
-    for i, tau in enumerate(distinct):
-        while tau - t_cur > 1e-15:
-            step = min(FALLBACK_DT, tau - t_cur)
-            u = _rk4(deriv, u, step)
-            t_cur += step
-        out[i] = u
+    # overflow surfaces as a non-finite unitary, caught by the check below
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i, tau in enumerate(distinct):
+            while tau - t_cur > 1e-15:
+                step = min(FALLBACK_DT, tau - t_cur)
+                u = _rk4(deriv, u, step)
+                t_cur += step
+            drift = np.max(np.abs(u.conj().T @ u - eye))
+            if not drift <= NORM_DRIFT_ABORT:
+                raise NumericalError(
+                    f"unitarity drift {drift:.3e} exceeds {NORM_DRIFT_ABORT:.1e} for durations in "
+                    f"({distinct[i - 1] if i else 0.0:g}, {tau:g}] at FALLBACK_DT = {FALLBACK_DT:g}")
+            out[i] = u
     return out[inverse.reshape(-1)]
 
 

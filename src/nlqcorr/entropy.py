@@ -101,11 +101,10 @@ def kn_average(values, weights, phi: KNFunction) -> float:
     return float(phi.inverse(acc))
 
 
-def renyi_entropy(weights, alpha: float, base: float = 2.0, limit: bool = False) -> float:
-    """(1/(1-alpha)) log_base(sum_k p_k^alpha) for alpha > 0, alpha != 1.
+def renyi_entropy(weights, alpha: float, base: float = 2.0) -> float:
+    """(1/(1-alpha)) log_base(sum_k p_k^alpha) for alpha > 0.
 
-    With ``limit=True`` the alpha = 1 point returns the Shannon entropy in
-    the same base instead of raising.
+    At alpha = 1 it returns the limit, the Shannon entropy in the same base.
     """
     if alpha <= 0:
         raise ValueError("alpha must be positive")
@@ -113,9 +112,7 @@ def renyi_entropy(weights, alpha: float, base: float = 2.0, limit: bool = False)
         raise ValueError("log base must exceed 1")
     p = _as_distribution(weights)
     if alpha == 1:
-        if limit:
-            return shannon_entropy(p, base)
-        raise ValueError("alpha = 1 undefined in strict mode; pass limit=True for Shannon")
+        return shannon_entropy(p, base)
     nz = p[p > 0]
     return float(math.log((nz**alpha).sum()) / ((1 - alpha) * math.log(base)))
 
@@ -135,13 +132,11 @@ def kn_decomposition_check(p_plus: float) -> tuple[float, float]:
     return lhs, rhs
 
 
-def tsallis_entropy(weights, q: float, limit: bool = False) -> float:
-    """(sum_k p_k^q - 1)/(1 - q); natural-log Shannon at q = 1 in limit mode."""
+def tsallis_entropy(weights, q: float) -> float:
+    """(sum_k p_k^q - 1)/(1 - q); its limit, the natural-log Shannon entropy, at q = 1."""
     p = _as_distribution(weights)
     if q == 1:
-        if limit:
-            return shannon_entropy(p, base=math.e)
-        raise ValueError("q = 1 undefined in strict mode; pass limit=True for Shannon")
+        return shannon_entropy(p, base=math.e)
     nz = p[p > 0]
     return float(((nz**q).sum() - 1.0) / (1.0 - q))
 

@@ -11,7 +11,8 @@ The built-in catalogue covers the linear form ``<H>``, the quadratic average
 ``c ||<sigma>||^2 / 2`` whose gradient is the Bloch-vector field
 ``c <sigma>.sigma``. Custom functions may supply only ``energy``; the gradient
 then falls back to central finite differences over the Hermitian entries of
-``rho`` (flagged in trajectory metadata).
+``rho`` (flagged in trajectory metadata). Whether a flow has a closed form is
+decided by ``dynamics.propagator_family``, from ``terms_commute`` and the state.
 
 :func:`polchinski_extend` builds the multiparticle composite: each subsystem
 contributes its own energy evaluated on its reduced density matrix, gated by a
@@ -72,7 +73,6 @@ class HamiltonianFunction:
         energy: Callable[[np.ndarray], float] | None = None,
         gradient: Callable[[np.ndarray], np.ndarray] | None = None,
         terms: Sequence[GeneratorTerm] | None = None,
-        conserved_generator: bool | None = None,
     ):
         if energy is None and terms is None:
             raise ValueError("need energy or terms")
@@ -80,18 +80,11 @@ class HamiltonianFunction:
         self._energy = energy
         self._gradient = gradient
         self.terms = tuple(terms) if terms is not None else None
-        if conserved_generator is None:
-            conserved_generator = self._terms_commute() if self.terms else False
-        self.conserved_generator = bool(conserved_generator)
-
-    def _terms_commute(self) -> bool:
-        ops = [t.operator for t in self.terms]
-        for i in range(len(ops)):
-            for j in range(i + 1, len(ops)):
-                comm = ops[i] @ ops[j] - ops[j] @ ops[i]
-                if np.max(np.abs(comm)) > COMMUTATOR_TOL:
-                    return False
-        return True
+        # pairwise commuting terms c <O>^p O keep every <O>, so G(rho) is conserved
+        ops = [t.operator for t in self.terms or ()]
+        self.terms_commute = self.terms is not None and all(
+            np.max(np.abs(a @ b - b @ a)) <= COMMUTATOR_TOL
+            for i, a in enumerate(ops) for b in ops[i + 1:])
 
     @property
     def dim(self) -> int | None:
@@ -140,8 +133,8 @@ class HamiltonianFunction:
 class NonFiniteGradient(ValueError):
     """A supplied or finite-difference gradient came out with non-finite entries.
 
-    ``dynamics.integrate`` reads it as a blown-up stage and reports the
-    failing sample as a ``NumericalError``.
+    ``dynamics`` reads it as a blown-up stage of an RK4 step and reports
+    where the run failed as a ``NumericalError``.
     """
 
 
@@ -219,16 +212,16 @@ def mean_field(coupling: float = 1.0, label: str | None = None) -> HamiltonianFu
     """Qubit mean-field energy coupling * ||<sigma>||^2 / 2.
 
     The gradient is coupling * <sigma>.sigma, i.e. precession in the field
-    produced by the beam's own average magnetic moment. The Bloch vector is
-    conserved along this flow (it precesses about itself), so the generator
-    is constant despite the non-commuting terms. The overall proportionality
+    produced by the beam's own average magnetic moment. The terms do not
+    commute, but G(rho) commutes with rho (the Bloch vector precesses about
+    itself), so every state is a fixed point. The overall proportionality
     between the field and Tr(rho sigma) is the ``coupling`` parameter.
     """
     terms = tuple(
         GeneratorTerm(op, power=1, coef=float(coupling))
         for op in (qstate.sigma_x, qstate.sigma_y, qstate.sigma_z)
     )
-    return HamiltonianFunction(label or "mean-field", terms=terms, conserved_generator=True)
+    return HamiltonianFunction(label or "mean-field", terms=terms)
 
 
 def from_callable(
@@ -240,7 +233,7 @@ def from_callable(
 
     ``energy`` must be defined on Hermitian matrices in a neighbourhood of the
     density-matrix manifold (finite differencing perturbs trace and spectrum).
-    Its generator is never taken as conserved: ``propagator_family`` integrates it.
+    ``propagator_family`` integrates its unitary unless ``rho0`` is a fixed point.
     """
     return HamiltonianFunction(label, energy=energy, gradient=gradient)
 

@@ -373,8 +373,6 @@ class TeleportationReport:
     b_sampled: np.ndarray
     retained_state: np.ndarray
     coupling: float
-    alice_direction: tuple[float, float, float]
-    keep_alice_outcome: int
 
 
 def _bloch(rho) -> np.ndarray:
@@ -447,6 +445,4 @@ def teleportation_demo(psi_pair, n_pairs: int, selection: str, alice_direction,
         b_sampled=b_sampled,
         retained_state=rho_b_cond if selection == "pre" else rho_b_full,
         coupling=coupling,
-        alice_direction=tuple(float(x) for x in np.asarray(alice_direction, dtype=float)),
-        keep_alice_outcome=keep_alice_outcome,
     )

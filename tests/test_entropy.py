@@ -109,10 +109,8 @@ def test_renyi_limit_approaches_shannon(rng):
         assert abs(entropy.renyi_entropy(p, alpha, base=2) - shannon) <= 1e-3
 
 
-def test_renyi_strict_and_limit_modes():
-    with pytest.raises(ValueError):
-        entropy.renyi_entropy([0.5, 0.5], 1.0)
-    got = entropy.renyi_entropy([0.25, 0.75], 1.0, limit=True)
+def test_renyi_order_one_is_shannon():
+    got = entropy.renyi_entropy([0.25, 0.75], 1.0)
     assert got == pytest.approx(entropy.shannon_entropy([0.25, 0.75], base=2), abs=1e-14)
 
 
@@ -175,11 +173,9 @@ def test_tsallis_limit_is_natural_log_shannon(rng):
     p = rng.uniform(0.05, 1.0, size=5)
     p /= p.sum()
     nat = entropy.shannon_entropy(p, base=math.e)
-    assert entropy.tsallis_entropy(p, 1.0, limit=True) == pytest.approx(nat, abs=1e-14)
+    assert entropy.tsallis_entropy(p, 1.0) == pytest.approx(nat, abs=1e-14)
     for q in (1 - 1e-4, 1 + 1e-4):
         assert abs(entropy.tsallis_entropy(p, q) - nat) <= 1e-3
-    with pytest.raises(ValueError):
-        entropy.tsallis_entropy(p, 1.0)
 
 
 def test_q_deformation_linearization_error_is_second_order():

@@ -92,7 +92,10 @@ def test_mean_field_gradient_is_bloch_field(rng):
     bloch = np.array([np.trace(rho @ s).real for s in (qstate.sigma_x, qstate.sigma_y, qstate.sigma_z)])
     expected = 2.5 * (bloch[0] * qstate.sigma_x + bloch[1] * qstate.sigma_y + bloch[2] * qstate.sigma_z)
     assert np.max(np.abs(h.effective_matrix(rho) - expected)) <= 1e-13
-    assert h.conserved_generator
+    # the terms do not commute, but the field commutes with the state itself
+    assert not h.terms_commute
+    g = h.effective_matrix(rho)
+    assert np.max(np.abs(g @ rho - rho @ g)) <= 1e-15
 
 
 def test_callable_energy_is_never_taken_as_conserved():
@@ -105,7 +108,7 @@ def test_callable_energy_is_never_taken_as_conserved():
     as_terms = hamfun.HamiltonianFunction("weinberg-terms", terms=(
         hamfun.GeneratorTerm(qstate.sigma_z, power=1, coef=2.0),
         hamfun.GeneratorTerm(qstate.sigma_x, power=0, coef=1.0)))
-    assert not h.conserved_generator and not as_terms.conserved_generator
+    assert not h.terms_commute and not as_terms.terms_commute
     psi = np.array([np.cos(0.3), np.sin(0.3)], dtype=complex)
     rho = np.outer(psi, psi.conj())
     u = dynamics.propagator_family(h, rho, [0.5])[0]

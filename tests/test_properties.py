@@ -5,7 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from nlqcorr import beams, dynamics, hamfun, protocols, qstate
@@ -216,16 +216,35 @@ durations = st.lists(st.one_of(st.just(0.0), st.floats(0, 10), st.floats(10, 1e3
     lambda taus: st.permutations(taus + taus[: len(taus) // 2]))
 
 
+def mixed_density(seed, d):
+    """A random full-rank d-level density matrix."""
+    return from_spectrum(seed, np.random.default_rng(seed).dirichlet(np.ones(d)))
+
+
+def no_fallback(*args):
+    raise AssertionError("propagator_family ran its RK4 fallback")
+
+
+def closed_form_stack(h, rho0, taus):
+    """propagator_family with the RK4 fallback disabled."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dynamics, "_rk4", no_fallback)
+        return dynamics.propagator_family(h, rho0, taus)
+
+
 @FAST
-@given(catalogue, seeds, durations)
-def test_propagator_stack_matches_single_durations_conserved(entry, seed, taus):
+@given(catalogue, seeds, st.booleans(), durations)
+# a subnormal coupling leaves the computed mean field no relative precision
+@example(("mean-field", 2.2250738585e-313), 0, True, [1.0])
+def test_propagator_stack_matches_single_durations_conserved(entry, seed, mixed, taus):
+    # every catalogue entry takes the closed form, on pure and on mixed states
     h = hamfun.catalogue_entry(*entry)
-    rho0 = one_particle_density(seed)
-    stack = dynamics.propagator_family(h, rho0, taus)
+    rho0 = mixed_density(seed, 2) if mixed else one_particle_density(seed)
+    stack = closed_form_stack(h, rho0, taus)
     assert stack.shape == (len(taus), 2, 2)
     g = h.effective_matrix(rho0)
     for u, tau in zip(stack, taus):
-        assert np.max(np.abs(u - dynamics.propagator_family(h, rho0, [tau])[0])) <= 1e-12
+        assert np.max(np.abs(u - closed_form_stack(h, rho0, [tau])[0])) <= 1e-12
         # independent closed form, to the roundoff of a phase |w| tau
         scale = max(1.0, np.abs(np.linalg.eigvalsh(g)).max() * tau)
         assert np.max(np.abs(u - qstate.herm_exp(g, -1j * tau))) <= 1e-14 * scale
@@ -245,6 +264,31 @@ def test_propagator_stack_matches_single_durations_nonconserved(cz, cx, seed, st
     for u, tau in zip(stack, taus):
         single = dynamics.propagator_family(h, rho0, [tau])[0]
         assert np.max(np.abs(u - single)) <= 1e-12
+
+
+@pytest.mark.parametrize("as_callable", [False, True])
+def test_stiff_fallback_raises_numerical_error(as_callable):
+    # energy 5000 <sigma_z>^2 + 3000 <sigma_x>: a FALLBACK_DT step of RK4 is unstable
+    # for it, and as a callable its finite-difference gradient turns non-finite
+    def energy(rho):
+        return 5000.0 * np.trace(rho @ qstate.sigma_z).real ** 2 + 3000.0 * np.trace(rho @ qstate.sigma_x).real
+
+    h = hamfun.from_callable(energy) if as_callable else hamfun.HamiltonianFunction("stiff", terms=(
+        hamfun.GeneratorTerm(qstate.sigma_z, power=1, coef=10000.0),
+        hamfun.GeneratorTerm(qstate.sigma_x, power=0, coef=3000.0)))
+    rho0 = np.array([[0.8, 0.3], [0.3, 0.2]], dtype=complex)
+    # a pair whose first particle has the reduced state rho0
+    w, v = np.linalg.eigh(rho0)
+    psi0 = np.sqrt(w[0]) * np.kron(v[:, 0], [1, 0]) + np.sqrt(w[1]) * np.kron(v[:, 1], [0, 1])
+    obs = {"zz": np.kron(qstate.sigma_z, qstate.sigma_z)}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(dynamics.NumericalError, match=r"durations in \(0, 0\.01\] at FALLBACK_DT"):
+            dynamics.propagator_family(h, rho0, [0.5, 0.01])
+        with pytest.raises(dynamics.NumericalError):
+            protocols.ensemble_average_trajectory(
+                "switching", psi0, h, hamfun.catalogue_entry("linear-z"), 0.3, 0.4, obs,
+                np.arange(11) * 0.05)
 
 
 def test_propagator_family_rejects_bad_durations():
@@ -523,9 +567,9 @@ def test_bilinear_zeno_equals_switching_in_either_order(s1, s2, s_psi, c1, c2, t
 # --- covariance under local unitaries ---
 
 def conjugated(h, u):
-    """h with each term's operator O replaced by u O u^dag; ``conserved_generator`` is kept."""
+    """h with each term's operator O replaced by u O u^dag."""
     terms = tuple(hamfun.GeneratorTerm(u @ t.operator @ u.conj().T, t.power, t.coef) for t in h.terms)
-    return hamfun.HamiltonianFunction(h.label, terms=terms, conserved_generator=h.conserved_generator)
+    return hamfun.HamiltonianFunction(h.label, terms=terms)
 
 
 def bloch_rotation(u):
@@ -552,7 +596,7 @@ def term_generators(draw):
 def covariance_setups(draw):
     h1, h2 = draw(term_generators()), draw(term_generators())
     # the fallback steps at FALLBACK_DT up to the latest detection, so keep those runs short
-    late = 6.0 if h1.conserved_generator and h2.conserved_generator else 0.25
+    late = 0.25 if "nonconserved" in (h1.label, h2.label) else 6.0
     # drawn independently, so either particle may be detected first
     times = draw(st.floats(0.0, late)), draw(st.floats(0.0, late))
     us = random_unitary(draw(seeds), 2), random_unitary(draw(seeds), 2)
@@ -663,6 +707,39 @@ def test_switched_states_matches_multiparty_integrator(setup):
     ref = dynamics.integrate(comp, psi0, steps * dt, dt).states[-1]
     taus = [[min(steps * dt, tk)] for tk in times]
     got = dynamics.switched_states(psi0, parts, taus, dims)[0]
+    assert np.max(np.abs(got - ref)) <= 1e-7
+
+
+def fixed_point_generators(d, seed):
+    """A term generator whose terms do not commute, and a finite-difference energy."""
+    a, b = unit_hermitian(seed, d), unit_hermitian(seed + 1, d)
+    terms = hamfun.HamiltonianFunction("nonconserved", terms=(
+        hamfun.GeneratorTerm(a, power=1, coef=1.0), hamfun.GeneratorTerm(b, power=0, coef=0.5)))
+    quadratic = quadratic_energy(1.0, a)
+    return terms, hamfun.from_callable(lambda rho: quadratic(rho) + np.trace(rho @ b).real)
+
+
+@FAST
+@given(st.sampled_from([2, 3]), seeds, st.lists(st.floats(0, 1), min_size=1, max_size=6))
+def test_any_generator_takes_the_closed_form_at_the_maximally_mixed_state(d, seed, taus):
+    # every G commutes with I/d, so I/d is a fixed point of any flow
+    rho0 = np.eye(d, dtype=complex) / d
+    for h in fixed_point_generators(d, seed):
+        assert not h.terms_commute
+        g = h.effective_matrix(rho0)
+        for u, tau in zip(closed_form_stack(h, rho0, taus), taus):
+            assert np.max(np.abs(u - qstate.herm_exp(g, -1j * tau))) <= 1e-14
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.sampled_from([2, 3]), seeds, detection_times, detection_times, st.integers(0, 300))
+def test_switched_states_at_a_fixed_point_matches_the_integrator(d, seed, t1, t2, steps):
+    # both factors of a maximally entangled pair start, and stay, at I/d
+    parts, dims, dt = fixed_point_generators(d, seed), (d, d), 0.005
+    psi0 = np.eye(d, dtype=complex).reshape(-1) / np.sqrt(d)
+    comp = hamfun.polchinski_extend(parts, dims, hamfun.SwitchingSchedule((t1, t2), dims))
+    ref = dynamics.integrate(comp, psi0, steps * dt, dt).states[-1]
+    got = dynamics.switched_states(psi0, parts, [[min(steps * dt, t1)], [min(steps * dt, t2)]], dims)[0]
     assert np.max(np.abs(got - ref)) <= 1e-7
 
 
